@@ -1,34 +1,18 @@
-"""Numeric kernel backends.
+"""Numeric kernels.
 
 The hot inner loops of the package (clamp/projection activations, the
-regularized least-squares solves, and the per-layer scale updates) exist in
-two interchangeable flavors:
-
-* ``numpy``  - plain vectorized numpy, always available,
-* ``numba``  - the same source compiled with ``numba.njit`` (no fastmath, so
-  both flavors execute identical arithmetic).
-
-Selection happens once at import time through the environment variable
-``CGBOUND_BACKEND`` (``"numba"`` default, ``"numpy"`` forces the fallback).
-Both kernel tables stay importable regardless of the active choice, which is
-what ``benchmarks/bench_backend.py`` uses to time them against each other.
+regularized least-squares solves, and the per-layer scale updates) are plain
+vectorized numpy functions, collected in the ``kernels`` table. Callers look
+entries up in the table at call time, so a profiler can wrap them in place.
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
     "active_backend",
     "kernels",
-    "numpy_kernels",
-    "numba_kernels",
 ]
 
-
-# ---------------------------------------------------------------------------
-# kernel sources (numpy-compatible, numba-compilable)
-# ---------------------------------------------------------------------------
 
 def _mrelu(x, a, b):
     # two-ReLU clamp a + ReLU(x-a) - ReLU(x-b), written as min/max
@@ -58,20 +42,17 @@ def _datafit_grad(A, u, z, y):
 
 
 def _cgnet_step(z, u, y, A, B, mu, a, b, xi):
-    Au = A * u
-    g = Au.T @ (Au @ z - y)
+    g = _datafit_grad(A, u, z, y)
     if mu != 0.0:
         g = g + mu * (np.log(z) / z)
     return _mrelu(z - B @ _ball_project(g, xi), a, b)
 
 
 def _drcgnet_vstep(z, u, y, A, delta, xi):
-    Au = A * u
-    g = Au.T @ (Au @ z - y)
-    return z - delta * _ball_project(g, xi)
+    return z - delta * _ball_project(_datafit_grad(A, u, z, y), xi)
 
 
-_SOURCES = {
+kernels = {
     "mrelu": _mrelu,
     "ball_project": _ball_project,
     "tikhonov_primal": _tikhonov_primal,
@@ -81,74 +62,7 @@ _SOURCES = {
     "drcgnet_vstep": _drcgnet_vstep,
 }
 
-numpy_kernels = dict(_SOURCES)
-
-numba_kernels = None
-try:  # pragma: no cover - exercised indirectly through the dispatch table
-    from numba import njit
-
-    numba_kernels = {}
-    _jit_ball_project = njit(cache=True)(_ball_project)
-    _jit_mrelu = njit(cache=True)(_mrelu)
-
-    @njit(cache=True)
-    def _jit_tikhonov_primal(A, z, y, P_inv):
-        Az = A * z
-        M = Az.T @ Az + P_inv
-        return np.linalg.solve(M, Az.T @ y)
-
-    @njit(cache=True)
-    def _jit_tikhonov_woodbury(A, z, y, P):
-        Az = A * z
-        S = np.eye(A.shape[0]) + (Az @ P) @ Az.T
-        return P @ (Az.T @ np.linalg.solve(S, y))
-
-    @njit(cache=True)
-    def _jit_datafit_grad(A, u, z, y):
-        Au = A * u
-        return Au.T @ (Au @ z - y)
-
-    @njit(cache=True)
-    def _jit_cgnet_step(z, u, y, A, B, mu, a, b, xi):
-        Au = A * u
-        g = Au.T @ (Au @ z - y)
-        if mu != 0.0:
-            g = g + mu * (np.log(z) / z)
-        return _jit_mrelu(z - B @ _jit_ball_project(g, xi), a, b)
-
-    @njit(cache=True)
-    def _jit_drcgnet_vstep(z, u, y, A, delta, xi):
-        Au = A * u
-        g = Au.T @ (Au @ z - y)
-        return z - delta * _jit_ball_project(g, xi)
-
-    numba_kernels = {
-        "mrelu": _jit_mrelu,
-        "ball_project": _jit_ball_project,
-        "tikhonov_primal": _jit_tikhonov_primal,
-        "tikhonov_woodbury": _jit_tikhonov_woodbury,
-        "datafit_grad": _jit_datafit_grad,
-        "cgnet_step": _jit_cgnet_step,
-        "drcgnet_vstep": _jit_drcgnet_vstep,
-    }
-except ImportError:  # pragma: no cover
-    numba_kernels = None
-
-
-_requested = os.environ.get("CGBOUND_BACKEND", "numba").strip().lower()
-if _requested not in ("numba", "numpy"):
-    raise ValueError(
-        "CGBOUND_BACKEND must be 'numba' or 'numpy', got %r" % _requested
-    )
-
-if _requested == "numba" and numba_kernels is not None:
-    _active = "numba"
-    kernels = numba_kernels
-else:
-    _active = "numpy"
-    kernels = numpy_kernels
-
 
 def active_backend():
-    """Name of the kernel table selected at import time."""
-    return _active
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"

@@ -273,8 +273,10 @@ def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):
         raise ValueError("Ns must be >= 1")
     if not (0.0 < eps_conf < 1.0):
         raise ValueError("eps_conf must lie in (0, 1)")
-    if y_max < 0:
-        raise ValueError("y_max must be nonnegative")
+    if not (math.isfinite(y_max) and y_max >= 0):
+        raise ValueError(f"y_max must be finite and nonnegative, got {y_max}")
+    if not math.isfinite(empirical_loss):
+        raise ValueError(f"empirical_loss must be finite, got {empirical_loss}")
     if config.n != model.n:
         raise ValueError("config.n and model.n disagree")
 
@@ -435,8 +437,8 @@ def sample_complexity(config, model, loss, gap, eps_conf, y_max):
     The block decays like 1/sqrt(Ns), so a binary search over
     [1, 2^62] is monotone correct.
     """
-    if gap <= 0:
-        raise ValueError("gap must be positive")
+    if not gap > 0:
+        raise ValueError(f"gap must be positive, got {gap}")
 
     def block(ns):
         rep = geb_bound(config, model, loss, ns, eps_conf, y_max)

@@ -17,7 +17,6 @@ import json
 import sys
 
 from . import report as report_mod
-from .bounds import geb_bound, ymax_estimate
 from .datagen import generate_cg_dataset
 from .networks import forward, gcgls_run, sample_parameters
 from .serialize import (
@@ -84,14 +83,7 @@ def cmd_forward(args):
 
 def cmd_bound(args):
     cfg = _load_config(args)
-    if cfg.ymax_mode == "dataset":
-        if cfg.dataset_spec is None:
-            raise ConfigError("geb.ymax_mode=dataset requires a dataset section")
-        data = generate_cg_dataset(cfg.dataset_spec)
-        y_max = ymax_estimate(cfg.model, cfg.bounds.c_max, "dataset", dataset=data.Y)
-    else:
-        y_max = ymax_estimate(cfg.model, cfg.bounds.c_max, cfg.ymax_mode)
-    rep = geb_bound(cfg.network, cfg.model, cfg.loss, cfg.geb_Ns, cfg.eps_conf, y_max)
+    rep = report_mod.config_bound(cfg)
     print(dumps_canonical(rep.to_dict()), end="")
     rows = [
         ("empirical term", rep.term1),
@@ -142,7 +134,7 @@ def cmd_sweep(args):
 
 
 def cmd_report(args):
-    cfg = load_run_config(report_mod.default_config() if args.config == "default" else args.config)
+    cfg = _load_config(args)
     code = report_mod.run_report(cfg, args.out)
     print(f"report written to {args.out} (exit {code})", file=sys.stderr)
     return code

@@ -80,12 +80,19 @@ class MeasurementModel:
         A = np.ascontiguousarray(self.A, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise ValueError(f"A must be a 2-D matrix with m, n >= 1, got shape {A.shape}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        # the max absolute row sum is finite iff every entry is (barring
+        # overflow) and zero iff A is zero, so it screens A before the SVD
+        norm_inf = operator_inf_norm(A)
+        if not math.isfinite(norm_inf):
+            raise ValueError(f"A must have finite entries and row sums, got norm_inf={norm_inf}")
+        if norm_inf == 0.0:
+            raise ValueError("A must not be all zero")
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "norm2", spectral_norm(A))
-        object.__setattr__(self, "norm_inf", operator_inf_norm(A))
+        object.__setattr__(self, "norm_inf", norm_inf)
 
     @property
     def m(self):

@@ -10,8 +10,8 @@ Two realizations of the same layer template are implemented:
   learned correction subnetwork of dense ReLU layers.
 
 ``forward`` runs the unrolled network and records every iterate;
-``gcgls_run`` executes the underlying alternating least-squares iteration
-with the same arithmetic, so the two agree to rounding error.
+``gcgls_run`` is the underlying alternating least-squares iteration, which
+the network unrolls step for step, so it returns the forward output.
 """
 
 from dataclasses import dataclass
@@ -281,14 +281,7 @@ def gcgls_run(y, config, theta, model, u0_mode="tikhonov"):
     """
     if u0_mode != "tikhonov":
         raise ValueError(f"unsupported u0_mode {u0_mode!r}")
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    z = _initial_scale(y, model, config)
-    u = tikhonov_solve(model, z, y, theta.P)
-    for k in range(config.K):
-        for j in range(config.J):
-            z = _scale_update(z, u, y, model, theta.blocks[k][j], config)
-        u = tikhonov_solve(model, z, y, theta.P)
-    return ball_project(z * u, config.bounds.c_max)
+    return forward(y, theta, config, model).output
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +356,13 @@ def _sample_blocks(config, rng):
 def sample_parameters(config, seed):
     """Deterministic draw of a full parameter set inside its balls.
 
-    Directions are Gaussian; radii are scaled by an independent uniform
-    factor in [0, 1] so samples reach the ball boundaries where the
-    sensitivity bounds are tightest.
+    ``seed`` is anything ``np.random.default_rng`` accepts; a ``Generator``
+    is used as is, so callers can continue an existing stream. Directions
+    are Gaussian; radii are scaled by an independent uniform factor in
+    [0, 1] so samples reach the ball boundaries where the sensitivity bounds
+    are tightest.
     """
     rng = np.random.default_rng(seed)
-    return sample_parameters_rng(config, rng)
-
-
-def sample_parameters_rng(config, rng):
     P = sample_covariance(config.cov_structure, config.n, config.p_min, config.p_max, rng)
     return ParameterSet(P=P, blocks=_sample_blocks(config, rng))
 

@@ -1,8 +1,8 @@
 """End-to-end study orchestration.
 
-``run_report`` executes, per the run configuration: the randomized
-inequality certification suite, the bound assembly on the configured
-network, the scaling-law sweeps, and the empirical-gap suite over a family
+``run_report`` executes, per the run configuration: the bound assembly on
+the configured network, the randomized inequality certification suite,
+the scaling-law sweeps, and the empirical-gap suite over a family
 of desk-scale configurations. Results land in an output directory as
 canonical JSON plus fixed-column CSV (axis, term2, term3, total); payloads
 contain no timestamps, so identical (seed, config) pairs reproduce
@@ -15,6 +15,7 @@ the CLI).
 
 import csv
 import io
+import json
 import os
 
 import numpy as np
@@ -23,56 +24,40 @@ from .bounds import LossSpec, SweepSpec, geb_bound, scaling_fit, sweep_bound, ym
 from .datagen import CgDataSpec, empirical_gap, generate_cg_dataset
 from .model import MeasurementModel, SignalBounds, SpdMatrix
 from .networks import NetworkConfig, sample_parameters
-from .serialize import dumps_canonical
+from .serialize import ConfigError, dumps_canonical
 from .verify import TARGETS, verify_lipschitz
 
 __all__ = [
     "default_config",
+    "config_bound",
     "run_report",
     "gap_suite",
     "scaling_study_specs",
 ]
 
 
+_DEFAULT_CONFIG_PATH = os.path.join(os.path.dirname(__file__), "configs", "default.json")
+
+
 def default_config():
-    """The bundled run configuration (drcgnet desk-scale study)."""
-    return {
-        "seed": 20250810,
-        "model": {
-            "m": 4,
-            "n": 8,
-            "sigma": 0.0,
-            "matrix": {"generator": "gaussian", "seed": 7, "scale": 0.5},
-        },
-        "network": {
-            "variant": "drcgnet",
-            "K": 2,
-            "J": 2,
-            "p_min": 0.5,
-            "p_max": 2.0,
-            "Lc": 1,
-            "filters": [1, 1],
-            "kernels": [3],
-            "weight_bounds": [0.9],
-            "delta": 0.6,
-        },
-        "loss": {"name": "mae"},
-        "dataset": {
-            "Ns": 48,
-            "seed": 11,
-            "sigma_u": {"structure": "scaled_identity", "lam": 0.4, "n": 8},
-        },
-        "geb": {"Ns": 1000, "eps_conf": 0.05, "ymax_mode": "dataset"},
-        "verify": {"targets": "all", "trials": 2000, "seed": 5150},
-        "sweep": {
-            "ns_values": [100, 1000, 10000, 100000, 1000000],
-            "kj_values": [4, 16, 64, 256, 1024, 4096],
-            "n_values": [4, 8, 16, 32, 64],
-            "Ns": 10000,
-            "eps_conf": 0.05,
-        },
-        "gap": {"suite_size": 20, "Ns": 48, "test_draws": 2000, "seed": 23},
-    }
+    """A fresh copy of the bundled run configuration (drcgnet desk-scale study)."""
+    with open(_DEFAULT_CONFIG_PATH, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def config_bound(run_config):
+    """Generalization bound of the configured network, y_max per ``geb.ymax_mode``."""
+    if run_config.ymax_mode == "dataset":
+        if run_config.dataset_spec is None:
+            raise ConfigError("geb.ymax_mode=dataset requires a dataset section")
+        data = generate_cg_dataset(run_config.dataset_spec)
+        y_max = ymax_estimate(run_config.model, run_config.bounds.c_max, "dataset", dataset=data.Y)
+    else:
+        y_max = ymax_estimate(run_config.model, run_config.bounds.c_max, run_config.ymax_mode)
+    return geb_bound(
+        run_config.network, run_config.model, run_config.loss,
+        run_config.geb_Ns, run_config.eps_conf, y_max,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +194,11 @@ def run_report(run_config, outdir):
     os.makedirs(outdir, exist_ok=True)
     failures = []
 
+    # bound on the configured network; first, so a config error raises
+    # before any suite runs
+    bound = config_bound(run_config)
+    _write(outdir, "bound.json", dumps_canonical(bound.to_dict()))
+
     # inequality certification
     targets = run_config.verify_targets
     if targets == "all":
@@ -220,20 +210,6 @@ def run_report(run_config, outdir):
         if not rep.all_hold:
             failures.append(f"verify:{target}")
     _write(outdir, "verify.json", dumps_canonical(verify_payload))
-
-    # bound on the configured network
-    if run_config.ymax_mode == "dataset":
-        if run_config.dataset_spec is None:
-            raise ValueError("geb.ymax_mode=dataset requires a dataset section")
-        data = generate_cg_dataset(run_config.dataset_spec)
-        y_max = ymax_estimate(run_config.model, run_config.bounds.c_max, "dataset", dataset=data.Y)
-    else:
-        y_max = ymax_estimate(run_config.model, run_config.bounds.c_max, run_config.ymax_mode)
-    bound = geb_bound(
-        run_config.network, run_config.model, run_config.loss,
-        run_config.geb_Ns, run_config.eps_conf, y_max,
-    )
-    _write(outdir, "bound.json", dumps_canonical(bound.to_dict()))
 
     # scaling studies
     if run_config.sweep:

@@ -53,7 +53,7 @@ from .networks import (
     forward,
     parameter_distance,
     sample_covariance,
-    sample_parameters_rng,
+    sample_parameters,
     subnet_forward,
 )
 
@@ -308,8 +308,8 @@ def _forward_pair(rng, dims):
     K, J = _sample_kj(rng, dims)
     config = _sample_config(rng, dims, model.n, K, J)
     y = rng.standard_normal(model.m)
-    t1 = sample_parameters_rng(config, rng)
-    t2 = sample_parameters_rng(config, rng)
+    t1 = sample_parameters(config, rng)
+    t2 = sample_parameters(config, rng)
     tr1 = forward(y, t1, config, model)
     tr2 = forward(y, t2, config, model)
     cns = network_constants_exact(config, model, y, t1.P, t2.P)

@@ -207,6 +207,15 @@ class TestGebBound:
             with pytest.raises(ValueError):
                 geb_bound(_dr_config(), model, LossSpec.mae(4, 1.0), 100, eps, 1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("y_max", math.nan), ("y_max", math.inf), ("y_max", -1.0), ("empirical_loss", math.nan),
+    ])
+    def test_rejects_non_finite_inputs(self, name, value):
+        model = MeasurementModel(FROZEN_A)
+        args = {"Ns": 100, "eps_conf": 0.05, "y_max": 1.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            geb_bound(_dr_config(), model, LossSpec.mae(4, 1.0), **args)
+
     def test_monotonicity_grid(self):
         model = MeasurementModel(FROZEN_A)
         loss = LossSpec.mae(4, 1.0)
@@ -331,5 +340,6 @@ class TestSampleComplexity:
         assert n2 / n1 == pytest.approx(4.0, rel=0.01)
 
     def test_rejects_nonpositive_gap(self):
-        with pytest.raises(ValueError):
-            sample_complexity(_dr_config(), self.MODEL, self.LOSS, 0.0, 0.05, 2.0)
+        for gap in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="gap"):
+                sample_complexity(_dr_config(), self.MODEL, self.LOSS, gap, 0.05, 2.0)

@@ -101,6 +101,23 @@ class TestMeasurementModel:
         with pytest.raises(ValueError):
             MeasurementModel(np.eye(2), sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            MeasurementModel(np.eye(2), sigma=sigma)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        A = np.eye(3)
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match="A must have finite entries"):
+            MeasurementModel(A)
+
+    def test_rejects_all_zero_matrix(self):
+        # a zero operator has no back-projection scale (norm2 == 0)
+        with pytest.raises(ValueError, match="A must not be all zero"):
+            MeasurementModel(np.zeros((2, 3)))
+
 
 class TestSpdMatrix:
     def test_spectrum_fields(self):

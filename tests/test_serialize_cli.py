@@ -12,7 +12,7 @@ import pytest
 
 import cgbound
 from cgbound.cli import main
-from cgbound.report import default_config, run_report
+from cgbound.report import config_bound, default_config, run_report
 from cgbound.serialize import (
     ConfigError,
     array_from_json,
@@ -72,11 +72,16 @@ class TestRunConfig:
         assert cfg.loss.name == "mae"
         assert cfg.dataset_spec is not None
 
-    def test_bundled_file_matches_default(self):
-        from importlib import resources
-
-        text = resources.files("cgbound").joinpath("configs/default.json").read_text()
-        assert json.loads(text) == default_config()
+    def test_default_config_is_fresh(self):
+        # callers mutate the returned dict; the next call must not see it
+        first = default_config()
+        first["verify"]["trials"] = 1
+        first["network"]["filters"].append(7)
+        del first["dataset"]
+        second = default_config()
+        assert second["verify"]["trials"] == 2000
+        assert second["network"]["filters"] == [1, 1]
+        assert "dataset" in second
 
     def test_explicit_matrix(self):
         cfg = _small_config()
@@ -169,6 +174,20 @@ class TestCli:
         bad.write_text(json.dumps(_small_config(geb={"eps_conf": 2.0})))
         rc = main(["bound", "--config", str(bad)])
         assert rc == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_dataset_ymax_needs_dataset(self, tmp_path, capsys):
+        cfg = _small_config()
+        del cfg["dataset"]
+        with pytest.raises(ConfigError, match="geb.ymax_mode=dataset"):
+            config_bound(load_run_config(cfg))
+        # the report raises before any suite runs or writes a payload
+        with pytest.raises(ConfigError, match="geb.ymax_mode=dataset"):
+            run_report(load_run_config(cfg), str(tmp_path / "out"))
+        assert os.listdir(tmp_path / "out") == []
+        path = tmp_path / "no_dataset.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound", "--config", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
     def test_entry_point_exists(self, tmp_path):
