@@ -6,12 +6,12 @@ empirical loss, a complexity term built from covering numbers of the
 parameter balls through a closed-form entropy-integral bound, and a
 confidence term. Also provides the closed-form integral bound itself with
 an independent quadrature oracle, training-measurement radius estimates,
-sample-complexity inversion, and log-log slope fits of the bound against
-signal dimension, network size, and sample count.
+closed-form sample-complexity inversion, and log-log slope fits of the
+bound against signal dimension, network size, and sample count.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +41,9 @@ __all__ = [
 # (normal quantile at per-entry failure probability 1e-9)
 WHITE_NOISE_QUANTILE = 6.11
 
-NS_CEILING = 2**62
+# largest sample count sample_complexity resolves: geb_bound takes the
+# square root of a float, so above 2^53 neighbouring counts share a block
+NS_CEILING = 2**53
 
 
 @dataclass(frozen=True)
@@ -269,8 +271,8 @@ def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):
     covariance ball and every per-step parameter ball; term3 the confidence
     block ``4 * c * sqrt(2 * ln(4 / eps_conf) / Ns)``.
     """
-    if Ns < 1:
-        raise ValueError("Ns must be >= 1")
+    if not (math.isfinite(Ns) and Ns >= 1 and Ns == int(Ns)):
+        raise ValueError(f"Ns must be a finite integer >= 1, got {Ns}")
     if not (0.0 < eps_conf < 1.0):
         raise ValueError("eps_conf must lie in (0, 1)")
     if not (math.isfinite(y_max) and y_max >= 0):
@@ -342,41 +344,24 @@ def _factor_kj(v):
     return int(v), 1
 
 
-def _resize_config(config, n=None, K=None, J=None):
-    from dataclasses import replace
-
-    kwargs = {}
-    if n is not None:
-        kwargs["n"] = int(n)
-    if K is not None:
-        kwargs["K"] = int(K)
-    if J is not None:
-        kwargs["J"] = int(J)
-    return replace(config, **kwargs)
-
-
 def sweep_bound(config, model, loss, spec):
     """Evaluate the bound along one axis; rows of (axis, report, r)."""
     rows = []
     for v in spec.values:
+        cfg, mdl, lss, Ns = config, model, loss, spec.Ns
         if spec.axis == "n":
-            n = int(v)
-            cfg = _resize_config(config, n=n)
-            mdl = _sweep_model(spec, n)
-            lss = LossSpec.mae(n, cfg.bounds.c_max) if loss.name == "mae" else loss
-            y_max = ymax_estimate(mdl, cfg.bounds.c_max, "noiseless")
-            rep = geb_bound(cfg, mdl, lss, spec.Ns, spec.eps_conf, y_max)
-            rows.append((float(v), rep, norm_log_sum(mdl, y_max)))
+            cfg = replace(config, n=int(v))
+            mdl = _sweep_model(spec, cfg.n)
+            if loss.name == "mae":
+                lss = LossSpec.mae(cfg.n, cfg.bounds.c_max)
         elif spec.axis == "kj":
             K, J = _factor_kj(int(v))
-            cfg = _resize_config(config, K=K, J=J)
-            y_max = ymax_estimate(model, cfg.bounds.c_max, "noiseless")
-            rep = geb_bound(cfg, model, loss, spec.Ns, spec.eps_conf, y_max)
-            rows.append((float(v), rep, norm_log_sum(model, y_max)))
+            cfg = replace(config, K=K, J=J)
         else:  # ns
-            y_max = ymax_estimate(model, config.bounds.c_max, "noiseless")
-            rep = geb_bound(config, model, loss, int(v), spec.eps_conf, y_max)
-            rows.append((float(v), rep, norm_log_sum(model, y_max)))
+            Ns = int(v)
+        y_max = ymax_estimate(mdl, cfg.bounds.c_max, "noiseless")
+        rep = geb_bound(cfg, mdl, lss, Ns, spec.eps_conf, y_max)
+        rows.append((float(v), rep, norm_log_sum(mdl, y_max)))
     return rows
 
 
@@ -434,8 +419,9 @@ def cor2_comparator(n, m, network_size, Ns):
 def sample_complexity(config, model, loss, gap, eps_conf, y_max):
     """Smallest sample count whose complexity-plus-confidence block is <= gap.
 
-    The block decays like 1/sqrt(Ns), so a binary search over
-    [1, 2^62] is monotone correct.
+    Both terms of the block scale as 1/sqrt(Ns), so the block is its value
+    at one sample over sqrt(Ns) and the answer is ``ceil((block(1)/gap)^2)``.
+    A few integer steps against the block itself settle the rounding.
     """
     if not gap > 0:
         raise ValueError(f"gap must be positive, got {gap}")
@@ -444,15 +430,15 @@ def sample_complexity(config, model, loss, gap, eps_conf, y_max):
         rep = geb_bound(config, model, loss, ns, eps_conf, y_max)
         return rep.term2 + rep.term3
 
-    if block(1) <= gap:
+    b1 = block(1)
+    if b1 <= gap:
         return 1
-    lo, hi = 1, NS_CEILING  # invariant: block(lo) > gap >= block(hi)
-    if block(hi) > gap:
+    ratio = b1 / gap
+    if not ratio * ratio <= NS_CEILING:
         raise ValueError("gap unattainable below the sample-count ceiling")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if block(mid) <= gap:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    ns = math.ceil(ratio * ratio)
+    while block(ns) > gap:
+        ns += 1
+    while block(ns - 1) <= gap:
+        ns -= 1
+    return ns

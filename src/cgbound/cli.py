@@ -9,7 +9,8 @@ Subcommands:
     sweep     evaluate the bound along one axis and emit CSV
     report    execute every configured suite into an output directory
 
-Exit codes: 0 success, 1 configuration/validation error, 2 suite failure.
+Exit codes: 0 success, 1 configuration/validation error or numerical
+failure, 2 suite failure. Also runs as ``python -m cgbound``.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import sys
 
 from . import report as report_mod
 from .datagen import generate_cg_dataset
+from .model import NumericalFailure
 from .networks import forward, gcgls_run, sample_parameters
 from .serialize import (
     ConfigError,
@@ -203,6 +205,9 @@ def main(argv=None):
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

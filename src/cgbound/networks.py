@@ -272,15 +272,13 @@ def forward(y, theta, config, model):
     return ForwardTrace(z0=z0, z=tuple(zs), u=tuple(us), output=output)
 
 
-def gcgls_run(y, config, theta, model, u0_mode="tikhonov"):
+def gcgls_run(y, config, theta, model):
     """Alternating least-squares iteration that the network unrolls.
 
-    Runs K rounds of J projected scale updates followed by a regularized
-    least-squares refresh of the Gaussian estimate, then forms the clamped
-    Hadamard product. Only the Tikhonov initialization is supported.
+    Starts from the Tikhonov estimate, runs K rounds of J projected scale
+    updates followed by a regularized least-squares refresh of the Gaussian
+    estimate, then forms the clamped Hadamard product.
     """
-    if u0_mode != "tikhonov":
-        raise ValueError(f"unsupported u0_mode {u0_mode!r}")
     return forward(y, theta, config, model).output
 
 

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -217,14 +218,8 @@ def run_report(run_config, outdir):
         fits = {}
         for axis, (cfg, mdl, spec, loss) in studies.items():
             _write(outdir, f"sweep_{axis}.csv", sweep_csv(cfg, mdl, loss, spec))
-            fit = scaling_fit(cfg, mdl, loss, spec)
-            fits[axis] = {
-                "exponent": fit.exponent,
-                "r_squared": fit.r_squared,
-                "values": list(fit.values),
-                "fitted": list(fit.fitted),
-                "r_diagnostic": list(fit.r_diagnostic),
-            }
+            fit = asdict(scaling_fit(cfg, mdl, loss, spec))
+            fits[axis] = {k: v for k, v in fit.items() if k != "axis"}
         _write(outdir, "scaling.json", dumps_canonical(fits))
 
     # empirical-gap suite

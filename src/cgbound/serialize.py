@@ -14,8 +14,8 @@ A run configuration is a single JSON object with sections
     loss      {"name": "mae"} or {"name": "ssim", "tau": ...}
     dataset   {"Ns", "seed", "sigma_u": covariance spec}   (optional)
     verify    {"targets", "trials", "seed"}                (optional)
-    sweep     {"ns_values", "kj_values", "n_values", "Ns", "eps_conf",
-               "m", "norm_power"}                          (optional)
+    sweep     {"ns_values", "kj_values", "n_values", "Ns",
+               "eps_conf"}                                 (optional)
     geb       {"Ns", "eps_conf", "ymax_mode"}              (optional)
     gap       {"suite_size", "Ns", "test_draws", "seed"}   (optional)
 
@@ -36,6 +36,7 @@ from .bounds import LossSpec
 from .datagen import CgDataSpec
 from .model import CovarianceSpec, MeasurementModel, SignalBounds, build_covariance
 from .networks import NetworkConfig
+from .verify import TARGETS
 
 __all__ = [
     "ConfigError",
@@ -300,6 +301,14 @@ class RunConfig:
 
         ver = _section(raw, "verify", required=False) or {}
         self.verify_targets = ver.get("targets", "all")
+        if self.verify_targets != "all" and not (
+            isinstance(self.verify_targets, list)
+            and all(isinstance(t, str) and t in TARGETS for t in self.verify_targets)
+        ):
+            raise ConfigError(
+                f"verify.targets: expected 'all' or a list of {sorted(TARGETS)}, "
+                f"got {self.verify_targets!r}"
+            )
         self.verify_trials = _get(ver, "trials", "verify", int, required=False, default=10000)
         self.verify_seed = _get(ver, "seed", "verify", int, required=False, default=self.seed)
         if self.verify_trials < 1:

@@ -209,12 +209,21 @@ class TestGebBound:
 
     @pytest.mark.parametrize("name, value", [
         ("y_max", math.nan), ("y_max", math.inf), ("y_max", -1.0), ("empirical_loss", math.nan),
+        ("Ns", 2.5), ("Ns", math.nan), ("Ns", math.inf),
     ])
     def test_rejects_non_finite_inputs(self, name, value):
         model = MeasurementModel(FROZEN_A)
         args = {"Ns": 100, "eps_conf": 0.05, "y_max": 1.0, name: value}
         with pytest.raises(ValueError, match=name):
             geb_bound(_dr_config(), model, LossSpec.mae(4, 1.0), **args)
+
+    def test_accepts_integral_float_sample_count(self):
+        model = MeasurementModel(FROZEN_A)
+        loss = LossSpec.mae(4, 1.0)
+        as_float = geb_bound(_dr_config(), model, loss, 1000.0, 0.05, 1.0)
+        as_int = geb_bound(_dr_config(), model, loss, 1000, 0.05, 1.0)
+        assert as_float.total == as_int.total
+        assert as_float.inputs["Ns"] == 1000
 
     def test_monotonicity_grid(self):
         model = MeasurementModel(FROZEN_A)
@@ -338,6 +347,19 @@ class TestSampleComplexity:
         n1 = sample_complexity(_dr_config(), self.MODEL, self.LOSS, 0.4, 0.05, 2.0)
         n2 = sample_complexity(_dr_config(), self.MODEL, self.LOSS, 0.2, 0.05, 2.0)
         assert n2 / n1 == pytest.approx(4.0, rel=0.01)
+
+    @pytest.mark.parametrize("target", [1e12, 1e15])
+    def test_boundary_is_exact_at_large_counts(self, target):
+        gap = self._block(1) / math.sqrt(target)
+        ns = sample_complexity(_dr_config(), self.MODEL, self.LOSS, gap, 0.05, 2.0)
+        assert ns == pytest.approx(target, rel=1e-6)
+        assert self._block(ns) <= gap < self._block(ns - 1)
+
+    def test_gap_beyond_ceiling_unattainable(self):
+        # needs about 2^54 samples; above 2^53 float sample counts share a block
+        gap = self._block(1) / math.sqrt(2.0**54)
+        with pytest.raises(ValueError, match="unattainable"):
+            sample_complexity(_dr_config(), self.MODEL, self.LOSS, gap, 0.05, 2.0)
 
     def test_rejects_nonpositive_gap(self):
         for gap in (0.0, -1.0, math.nan):

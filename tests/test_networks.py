@@ -264,14 +264,6 @@ class TestGcgls:
         np.testing.assert_allclose(gcgls_run(np.zeros(4), config, theta, model),
                                    np.zeros(8), atol=1e-14)
 
-    def test_only_tikhonov_start(self):
-        rng = np.random.default_rng(SEED_NET)
-        model = _model(rng)
-        config = _cg_config()
-        theta = sample_parameters(config, 3)
-        with pytest.raises(ValueError):
-            gcgls_run(np.zeros(4), config, theta, model, u0_mode="zeros")
-
 
 class TestSampling:
     def test_deterministic_in_seed(self):

@@ -35,6 +35,15 @@ def _declared_script(name):
         return tomllib.load(fh)["project"]["scripts"][name]
 
 
+def _run_from_source(args, cwd):
+    """Run a fresh interpreter with the imported cgbound package's directory first on PYTHONPATH."""
+    src_dir = str(Path(cgbound.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=cwd, env=env, timeout=120)
+
+
 def _small_config(**overrides):
     cfg = default_config()
     cfg["verify"] = {"targets": ["gram_diff", "subnet_norm"], "trials": 150, "seed": 3}
@@ -117,6 +126,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="dataset.Ns"):
             load_run_config(bad)
 
+    @pytest.mark.parametrize("targets", ["gram_diff", ["gram_diff", "no_such_target"], [["gram_diff"]]])
+    def test_verify_targets_validated(self, tmp_path, capsys, targets):
+        cfg = _small_config()
+        cfg["verify"]["targets"] = targets
+        with pytest.raises(ConfigError, match="verify.targets"):
+            load_run_config(cfg)
+        path = tmp_path / "bad_targets.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["report", str(path), "--out", str(out)]) == 1
+        assert "verify.targets" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_string_and_file_sources(self, tmp_path):
         text = json.dumps(_small_config())
         assert load_run_config(text).model.n == 8
@@ -190,23 +212,30 @@ class TestCli:
         assert main(["bound", "--config", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        y_path = tmp_path / "y_huge.json"
+        y_path.write_text(json.dumps(array_to_json(np.full(4, 1e200))))
+        with np.errstate(all="ignore"):
+            rc = main(["solve", "--config", "default", "--y", str(y_path)])
+        assert rc == 1
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        proc = _run_from_source(["-m", "cgbound", "--help"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "verify" in proc.stdout
+
     def test_entry_point_exists(self, tmp_path):
         # Load and call the declared target in a fresh interpreter, as the
         # console-script wrapper that pip generates does, without an install.
         target = _declared_script("cgbound")
-        src_dir = str(Path(cgbound.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
         code = (
             "import sys\n"
             "from importlib.metadata import EntryPoint\n"
             f"main = EntryPoint(name='cgbound', value={target!r}, group='console_scripts').load()\n"
             "sys.exit(main())\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "--help"],
-            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
-        )
+        proc = _run_from_source(["-c", code, "--help"], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "verify" in proc.stdout
 
