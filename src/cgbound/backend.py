@@ -4,6 +4,14 @@ The hot inner loops of the package (clamp/projection activations, the
 regularized least-squares solves, and the per-layer scale updates) are plain
 vectorized numpy functions, collected in the ``kernels`` table. Callers look
 entries up in the table at call time, so a profiler can wrap them in place.
+
+Every vector argument carries an optional leading batch axis: ``y`` is
+``(m,)`` or ``(B, m)``, ``z`` and ``u`` are ``(n,)`` or ``(B, n)``, and the
+result has the same leading shape. A mat-vec is written ``(M @ x[..., None])
+[..., 0]`` and a squared norm ``v[..., None, :] @ v[..., :, None]``, so numpy
+hands each row to the same BLAS routine (gemv, dot, gesv) as a 1-D call and
+every row of a batch is bitwise equal to the 1-D result. ``einsum`` would
+not be: its own summation differs from ``np.dot`` in the last bit.
 """
 
 import numpy as np
@@ -14,38 +22,44 @@ __all__ = [
 ]
 
 
+def _matvec(M, x):
+    return (M @ x[..., None])[..., 0]
+
+
 def _mrelu(x, a, b):
     # two-ReLU clamp a + ReLU(x-a) - ReLU(x-b), written as min/max
     return np.minimum(np.maximum(x, a), b)
 
 
 def _ball_project(v, radius):
-    nrm = np.sqrt(np.dot(v, v))
-    return v / max(1.0, nrm / radius)
+    nrm = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0])
+    return v / np.maximum(1.0, nrm / radius)
 
 
 def _tikhonov_primal(A, z, y, P_inv):
-    Az = A * z
-    M = Az.T @ Az + P_inv
-    return np.linalg.solve(M, Az.T @ y)
+    Az = A * z[..., None, :]
+    AzT = Az.swapaxes(-1, -2)
+    M = AzT @ Az + P_inv
+    return np.linalg.solve(M, AzT @ y[..., None])[..., 0]
 
 
 def _tikhonov_woodbury(A, z, y, P):
-    Az = A * z
-    S = np.eye(A.shape[0]) + (Az @ P) @ Az.T
-    return P @ (Az.T @ np.linalg.solve(S, y))
+    Az = A * z[..., None, :]
+    AzT = Az.swapaxes(-1, -2)
+    S = np.eye(A.shape[0]) + (Az @ P) @ AzT
+    return (P @ (AzT @ np.linalg.solve(S, y[..., None])))[..., 0]
 
 
 def _datafit_grad(A, u, z, y):
-    Au = A * u
-    return Au.T @ (Au @ z - y)
+    Au = A * u[..., None, :]
+    return _matvec(Au.swapaxes(-1, -2), _matvec(Au, z) - y)
 
 
 def _cgnet_step(z, u, y, A, B, mu, a, b, xi):
     g = _datafit_grad(A, u, z, y)
     if mu != 0.0:
         g = g + mu * (np.log(z) / z)
-    return _mrelu(z - B @ _ball_project(g, xi), a, b)
+    return _mrelu(z - _matvec(B, _ball_project(g, xi)), a, b)
 
 
 def _drcgnet_vstep(z, u, y, A, delta, xi):

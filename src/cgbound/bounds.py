@@ -271,7 +271,11 @@ def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):
     covariance ball and every per-step parameter ball; term3 the confidence
     block ``4 * c * sqrt(2 * ln(4 / eps_conf) / Ns)``.
     """
-    if not (math.isfinite(Ns) and Ns >= 1 and Ns == int(Ns)):
+    try:
+        valid_ns = math.isfinite(Ns) and Ns >= 1 and Ns == int(Ns)
+    except OverflowError:  # an integer beyond float range
+        valid_ns = False
+    if not valid_ns:
         raise ValueError(f"Ns must be a finite integer >= 1, got {Ns}")
     if not (0.0 < eps_conf < 1.0):
         raise ValueError("eps_conf must lie in (0, 1)")

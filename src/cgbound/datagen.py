@@ -8,6 +8,8 @@ Measurements follow the linear model with optional white noise.
 ``empirical_gap`` freezes one network hypothesis, measures its training
 loss on a generated dataset and its population loss by fresh Monte Carlo
 draws, and compares the absolute difference against the assembled bound.
+Each dataset goes through the network as one stacked forward pass, and
+``mae_loss`` scores all of its rows at once.
 """
 
 import math
@@ -94,9 +96,13 @@ def generate_cg_dataset(spec):
 
 
 def mae_loss(x1, x2):
-    """Mean absolute error ``||x1 - x2||_1 / n``."""
+    """Mean absolute error ``||x1 - x2||_1 / n`` over the last axis.
+
+    A float for two vectors; one value per row for ``(B, n)`` stacks.
+    """
     x1 = np.asarray(x1, dtype=np.float64)
-    return float(np.abs(x1 - np.asarray(x2, dtype=np.float64)).sum() / x1.size)
+    err = np.abs(x1 - np.asarray(x2, dtype=np.float64)).sum(axis=-1) / x1.shape[-1]
+    return float(err) if err.ndim == 0 else err
 
 
 @dataclass(frozen=True)
@@ -126,11 +132,7 @@ class GapReport:
 
 
 def _mean_loss(theta, config, model, dataset):
-    losses = np.empty(len(dataset))
-    for i, (y, c) in enumerate(zip(dataset.Y, dataset.C)):
-        est = forward(y, theta, config, model).output
-        losses[i] = mae_loss(est, c)
-    return losses
+    return mae_loss(forward(dataset.Y, theta, config, model).output, dataset.C)
 
 
 def empirical_gap(theta, config, loss, train_spec, test_draws, seed):

@@ -4,7 +4,9 @@ Holds the linear measurement model ``y = A(z * u) + noise`` with cached
 operator norms, the four structured symmetric-positive-definite covariance
 constructions, the clamp/projection activations, the regularized
 least-squares (Tikhonov) solver in both its primal and Woodbury forms, and
-the alternating cost function they all minimize.
+the alternating cost function they all minimize. The activations and the
+solver take a vector or a stack of vectors along a leading batch axis and
+act on each row (the last axis) independently.
 
 Everything here is a pure function of its inputs; constructed objects are
 immutable and safe to share across threads.
@@ -48,6 +50,14 @@ def _as_vector(x, n=None, name="vector"):
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"{name} must have length {n}, got {v.shape[0]}")
+    return v
+
+
+def _as_rows(x, n, name):
+    """``x`` as a length-``n`` vector or a ``(B, n)`` stack of them."""
+    v = np.ascontiguousarray(x, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != n:
+        raise ValueError(f"{name} must have shape ({n},) or (B, {n}), got {v.shape}")
     return v
 
 
@@ -212,7 +222,10 @@ def mrelu(x, a, b):
 
 
 def ball_project(v, radius):
-    """Projection of ``v`` onto the Euclidean ball of the given radius."""
+    """Projection of ``v`` onto the Euclidean ball of the given radius.
+
+    A ``(B, n)`` stack is projected row by row.
+    """
     if radius <= 0:
         raise ValueError(f"ball radius must be positive, got {radius}")
     v = np.ascontiguousarray(v, dtype=np.float64)
@@ -266,9 +279,16 @@ def tikhonov_solve(model, z, y, P, method="auto"):
     equations, ``"woodbury"`` the equivalent m x m system
     ``P A_z^T (I + A_z P A_z^T)^-1 y``, and ``"auto"`` uses Woodbury when
     m < n. Both paths are always available and agree to rounding error.
+
+    ``z`` and ``y`` are one vector each, or ``(B, n)`` and ``(B, m)`` stacks
+    solved row by row into a ``(B, n)`` result; each row is bitwise equal to
+    the solve of that row alone. A non-finite result raises
+    ``NumericalFailure``, naming the first failing row of a stack.
     """
-    z = _as_vector(z, model.n, "z")
-    y = _as_vector(y, model.m, "y")
+    z = _as_rows(z, model.n, "z")
+    y = _as_rows(y, model.m, "y")
+    if z.shape[:-1] != y.shape[:-1]:
+        raise ValueError(f"z and y must stack the same rows, got shapes {z.shape} and {y.shape}")
     if P.n != model.n:
         raise ValueError(f"P must be {model.n} x {model.n}, got {P.n}")
     if method == "auto":
@@ -279,8 +299,10 @@ def tikhonov_solve(model, z, y, P, method="auto"):
         out = kernels["tikhonov_woodbury"](model.A, z, y, P.P)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailure("tikhonov solve produced non-finite values")
+    finite = np.isfinite(out).all(axis=-1)
+    if not finite.all():
+        where = "" if out.ndim == 1 else f" in row {np.flatnonzero(~finite)[0]}"
+        raise NumericalFailure(f"tikhonov solve produced non-finite values{where}")
     return out
 
 

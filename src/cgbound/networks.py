@@ -12,6 +12,12 @@ Two realizations of the same layer template are implemented:
 ``forward`` runs the unrolled network and records every iterate;
 ``gcgls_run`` is the underlying alternating least-squares iteration, which
 the network unrolls step for step, so it returns the forward output.
+
+The forward pass, the scale steps and the subnetwork take one measurement
+vector or a stack of them along a leading batch axis (``y`` of shape
+``(m,)`` or ``(B, m)``), and every iterate carries the same leading shape.
+A stack runs as one pass, and each of its rows is bitwise equal to the
+forward pass of that row alone.
 """
 
 from dataclasses import dataclass
@@ -22,6 +28,7 @@ from .backend import kernels
 from .model import (
     SignalBounds,
     SpdMatrix,
+    _as_rows,
     ball_project,
     mrelu,
     spectral_norm,
@@ -148,7 +155,7 @@ class ParameterSet:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """All iterates of one unrolled forward pass."""
+    """All iterates of one unrolled forward pass, each ``(n,)`` or ``(B, n)``."""
 
     z0: np.ndarray
     z: tuple  # z[k][j], k = 0..K-1, j = 0..J-1
@@ -192,16 +199,19 @@ def cgnet_scale_step(z, u, y, model, B, mu, bounds):
 
 
 def subnet_forward(weights, z):
-    """Dense feed-forward chain with ReLU between layers, linear last layer."""
+    """Dense feed-forward chain with ReLU between layers, linear last layer.
+
+    ``z`` is one input vector or a stack of them along a leading axis.
+    """
     x = np.ascontiguousarray(z, dtype=np.float64)
     last = len(weights) - 1
     for i, W in enumerate(weights):
         W = np.asarray(W, dtype=np.float64)
-        if W.shape[1] != x.shape[0]:
+        if W.shape[1] != x.shape[-1]:
             raise ValueError(
-                f"layer {i + 1} expects input of length {W.shape[1]}, got {x.shape[0]}"
+                f"layer {i + 1} expects input of length {W.shape[1]}, got {x.shape[-1]}"
             )
-        x = W @ x
+        x = (W @ x[..., None])[..., 0]
         if i != last:
             x = np.maximum(x, 0.0)
     return x
@@ -226,7 +236,7 @@ def _initial_scale(y, model, config):
     The lower clamp is 0 for drcgnet; for cgnet it is the clamp floor ``a``
     so that the log-regularizer gradient is defined at the first update.
     """
-    z_init = (model.A.T @ y) / model.norm2
+    z_init = (model.A.T @ y[..., None])[..., 0] / model.norm2
     lo = config.bounds.a if config.variant == "cgnet" else 0.0
     return mrelu(z_init, lo, config.bounds.z_inf)
 
@@ -249,10 +259,13 @@ def forward(y, theta, config, model):
     The output is the Hadamard product of the final scale and Gaussian
     estimates projected onto the c_max ball, so ``||output||_2 <= c_max``
     and every scale iterate lies in ``[0, z_inf]`` by construction.
+
+    ``y`` is one measurement of shape ``(m,)`` or a ``(B, m)`` stack of
+    them; every field of the trace then has shape ``(n,)`` or ``(B, n)``,
+    and row ``i`` of each equals the trace of ``forward(y[i], ...)``
+    bitwise.
     """
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if y.shape != (model.m,):
-        raise ValueError(f"y must have length {model.m}")
+    y = _as_rows(y, model.m, "y")
     if config.n != model.n:
         raise ValueError("config.n and model.n disagree")
     z = _initial_scale(y, model, config)

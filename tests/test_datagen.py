@@ -67,6 +67,16 @@ class TestMaeLoss:
     def test_zero_on_equal(self):
         assert mae_loss([0.3, 0.7], [0.3, 0.7]) == 0.0
 
+    def test_stack_equals_row_calls(self):
+        rng = np.random.default_rng(SEED_DATA)
+        for n in (1, 2, 7, 8, 9, 31, 200):
+            x1, x2 = rng.standard_normal((2, 25, n))
+            losses = mae_loss(x1, x2)
+            assert losses.shape == (25,)
+            rows = [mae_loss(a, b) for a, b in zip(x1, x2)]
+            assert all(isinstance(r, float) for r in rows)
+            np.testing.assert_array_equal(losses, rows)
+
 
 def _config(n=6):
     return NetworkConfig(

@@ -274,6 +274,10 @@ class TestTikhonovSolve:
             tikhonov_solve(model, np.zeros(2), np.zeros(3), P)
         with pytest.raises(ValueError):
             tikhonov_solve(model, np.zeros(3), np.zeros(3), P, method="qr")
+        # stacks must carry the same rows
+        for z, y in ((np.zeros((2, 3)), np.zeros((4, 3))), (np.zeros(3), np.zeros((2, 3)))):
+            with pytest.raises(ValueError, match="same rows"):
+                tikhonov_solve(model, z, y, P)
 
 
 class TestCostEval:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cgbound.model import (
     MeasurementModel,
+    NumericalFailure,
     SignalBounds,
     ball_project,
     cost_eval,
@@ -88,6 +92,11 @@ class TestGradZ:
         model = MeasurementModel(np.eye(2))
         with pytest.raises(ValueError, match="positive"):
             grad_z_F(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), model, 1.0)
+        # a stack is checked whole: one bad entry in its last row
+        z = np.ones((3, 2))
+        z[2, 1] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            cgnet_scale_step(z, np.zeros((3, 2)), np.zeros((3, 2)), model, np.eye(2), 1.0, BOUNDS)
 
 
 class TestCgnetStep:
@@ -236,6 +245,61 @@ class TestForward:
         theta = sample_parameters(config, 1)
         with pytest.raises(ValueError):
             forward(np.zeros(5), theta, config, model)
+        for bad in (np.zeros((3, 5)), np.zeros((2, 3, 4)), np.zeros(())):
+            with pytest.raises(ValueError, match="y must have shape"):
+                forward(bad, theta, config, model)
+
+    def test_numerical_failure_names_row(self):
+        rng = np.random.default_rng(SEED_NET)
+        model = _model(rng)
+        for config in (_cg_config(), _dr_config()):
+            theta = sample_parameters(config, 1)
+            Y = rng.standard_normal((4, 4))
+            Y[2] = 1e200
+            with np.errstate(all="ignore"):
+                with pytest.raises(NumericalFailure, match="non-finite values in row 2$"):
+                    forward(Y, theta, config, model)
+                with pytest.raises(NumericalFailure, match="non-finite values$"):
+                    forward(Y[2], theta, config, model)
+
+
+def _trace_fields(trace):
+    return [trace.z0, *(z for zk in trace.z for z in zk), *trace.u, trace.output]
+
+
+@st.composite
+def _stacked_forward_cases(draw):
+    K = draw(st.integers(1, 12))
+    J = draw(st.integers(1, 12 // K))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    if draw(st.sampled_from(("cgnet", "drcgnet"))) == "cgnet":
+        config = _cg_config(n=n, K=K, J=J)
+    else:
+        config = _dr_config(n=n, K=K, J=J, Lc=draw(st.integers(1, 2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    model = MeasurementModel(rng.standard_normal((m, n)))
+    theta = sample_parameters(config, rng)
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    Y = draw(arrays(np.float64, (draw(st.integers(1, 40)), m), elements=finite))
+    return config, model, theta, Y
+
+
+class TestStackedForward:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_stacked_forward_cases())
+    def test_rows_match_single_passes_and_invariants_hold(self, case):
+        config, model, theta, Y = case
+        trace = forward(Y, theta, config, model)
+        fields = _trace_fields(trace)
+        assert all(f.shape == (Y.shape[0], config.n) for f in fields)
+        for i, y in enumerate(Y):
+            for got, want in zip(fields, _trace_fields(forward(y, theta, config, model))):
+                np.testing.assert_array_equal(got[i], want)
+        assert np.all(np.linalg.norm(trace.output, axis=-1) <= config.bounds.c_max * (1 + 1e-12))
+        for z in (trace.z0, *(z for zk in trace.z for z in zk)):
+            assert np.all((z >= 0.0) & (z <= config.bounds.z_inf))
 
 
 class TestGcgls:

@@ -212,6 +212,14 @@ class TestCli:
         assert main(["bound", "--config", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_sample_count_beyond_float_range(self, tmp_path, capsys):
+        cfg = default_config()
+        cfg["geb"]["Ns"] = 10**400
+        path = tmp_path / "huge_ns.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound", "--config", str(path)]) == 1
+        assert "Ns must be a finite integer" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         y_path = tmp_path / "y_huge.json"
         y_path.write_text(json.dumps(array_to_json(np.full(4, 1e200))))
