@@ -54,7 +54,6 @@ from .networks import (
     cgnet_scale_step,
     drcgnet_scale_step,
     forward,
-    gcgls_run,
     grad_z_F,
     parameter_distance,
     sample_covariance,

@@ -33,6 +33,12 @@ def _mrelu(x, a, b):
 
 def _ball_project(v, radius):
     nrm = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0])
+    if np.isinf(nrm).any():
+        # squared norm overflowed: rescale those rows, the rest keep their bits
+        big = np.isinf(nrm[..., 0])
+        w = v[big]
+        s = np.abs(w).max(axis=-1, keepdims=True)
+        nrm[big] = s * np.linalg.norm(w / s, axis=-1, keepdims=True)
     return v / np.maximum(1.0, nrm / radius)
 
 

@@ -132,9 +132,9 @@ class ScalingFit:
 class SweepSpec:
     """One-axis sweep description for the scaling studies.
 
-    axis = "n":  rebuilds the model per point as ``n^norm_power`` times the
-    all-ones m x n matrix (operator norms grow polynomially, as the scaling
-    laws assume) and resizes the network; axis = "kj": fixed model, K and J
+    axis = "n":  rebuilds the model per point as ``n^6`` times the all-ones
+    1 x n matrix (operator norms grow polynomially, as the scaling laws
+    assume) and resizes the network; axis = "kj": fixed model, K and J
     are factored from each value (square when possible); axis = "ns": only
     the sample count varies.
     """
@@ -143,8 +143,6 @@ class SweepSpec:
     values: tuple
     Ns: int = 10000
     eps_conf: float = 0.05
-    m: int = 1
-    norm_power: float = 3.0
 
     def __post_init__(self):
         if self.axis not in ("n", "kj", "ns"):
@@ -336,9 +334,8 @@ def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):
 # sweeps and scaling-law fits
 # ---------------------------------------------------------------------------
 
-def _sweep_model(spec, n):
-    A = (float(n) ** spec.norm_power) * np.ones((spec.m, n))
-    return MeasurementModel(A)
+def _sweep_model(n):
+    return MeasurementModel((float(n) ** 6.0) * np.ones((1, n)))
 
 
 def _factor_kj(v):
@@ -355,7 +352,7 @@ def sweep_bound(config, model, loss, spec):
         cfg, mdl, lss, Ns = config, model, loss, spec.Ns
         if spec.axis == "n":
             cfg = replace(config, n=int(v))
-            mdl = _sweep_model(spec, cfg.n)
+            mdl = _sweep_model(cfg.n)
             if loss.name == "mae":
                 lss = LossSpec.mae(cfg.n, cfg.bounds.c_max)
         elif spec.axis == "kj":

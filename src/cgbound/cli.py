@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    solve     run the alternating least-squares iteration on one measurement
+    solve     estimate the signal from one measurement (the network output)
     forward   run the unrolled network and emit the full iterate trace
     bound     assemble the generalization bound for the configured network
     verify    run randomized inequality certification targets
@@ -20,7 +20,7 @@ import sys
 from . import report as report_mod
 from .datagen import generate_cg_dataset
 from .model import NumericalFailure
-from .networks import forward, gcgls_run, sample_parameters
+from .networks import forward, sample_parameters
 from .serialize import (
     ConfigError,
     array_from_json,
@@ -52,27 +52,25 @@ def _measurement(args, cfg):
 
 
 def _params(args, cfg):
-    if getattr(args, "params", None):
+    if args.params:
         with open(args.params, "r", encoding="utf-8") as fh:
             return parameters_from_json(json.load(fh), cfg.network)
     seed = cfg.seed if args.param_seed is None else args.param_seed
     return sample_parameters(cfg.network, seed)
 
 
-def cmd_solve(args):
+def _trace(args):
     cfg = _load_config(args)
-    y = _measurement(args, cfg)
-    theta = _params(args, cfg)
-    c = gcgls_run(y, cfg.network, theta, cfg.model)
-    print(dumps_canonical({"estimate": array_to_json(c)}), end="")
+    return forward(_measurement(args, cfg), _params(args, cfg), cfg.network, cfg.model)
+
+
+def cmd_solve(args):
+    print(dumps_canonical({"estimate": array_to_json(_trace(args).output)}), end="")
     return EXIT_OK
 
 
 def cmd_forward(args):
-    cfg = _load_config(args)
-    y = _measurement(args, cfg)
-    theta = _params(args, cfg)
-    trace = forward(y, theta, cfg.network, cfg.model)
+    trace = _trace(args)
     payload = {
         "z0": array_to_json(trace.z0),
         "z": [[array_to_json(zj) for zj in zk] for zk in trace.z],
@@ -156,18 +154,18 @@ def build_parser():
             help="path to a run-config JSON file, or 'default' for the bundled one",
         )
 
-    p = sub.add_parser("solve", help="alternating least-squares on one measurement")
-    add_config(p)
-    p.add_argument("--y", help="path to a measurement vector JSON file")
-    p.add_argument("--param-seed", type=int, default=None, help="parameter sampling seed")
-    p.add_argument("--params", help="path to a parameter-set JSON file (overrides sampling)")
+    def add_inputs(p):
+        add_config(p)
+        p.add_argument("--y", help="path to a measurement vector JSON file")
+        p.add_argument("--param-seed", type=int, default=None, help="parameter sampling seed")
+        p.add_argument("--params", help="path to a parameter-set JSON file (overrides sampling)")
+
+    p = sub.add_parser("solve", help="signal estimate (network output) for one measurement")
+    add_inputs(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("forward", help="unrolled forward pass with full trace")
-    add_config(p)
-    p.add_argument("--y", help="path to a measurement vector JSON file")
-    p.add_argument("--param-seed", type=int, default=None, help="parameter sampling seed")
-    p.add_argument("--params", help="path to a parameter-set JSON file (overrides sampling)")
+    add_inputs(p)
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("bound", help="assemble the generalization bound")

@@ -3,10 +3,10 @@
 Holds the linear measurement model ``y = A(z * u) + noise`` with cached
 operator norms, the four structured symmetric-positive-definite covariance
 constructions, the clamp/projection activations, the regularized
-least-squares (Tikhonov) solver in both its primal and Woodbury forms, and
-the alternating cost function they all minimize. The activations and the
-solver take a vector or a stack of vectors along a leading batch axis and
-act on each row (the last axis) independently.
+least-squares (Tikhonov) solver, which picks its primal or Woodbury form by
+shape, and the alternating cost function they all minimize. The activations
+and the solver take a vector or a stack of vectors along a leading batch
+axis and act on each row (the last axis) independently.
 
 Everything here is a pure function of its inputs; constructed objects are
 immutable and safe to share across threads.
@@ -224,7 +224,8 @@ def mrelu(x, a, b):
 def ball_project(v, radius):
     """Projection of ``v`` onto the Euclidean ball of the given radius.
 
-    A ``(B, n)`` stack is projected row by row.
+    A ``(B, n)`` stack is projected row by row. A row whose squared norm
+    overflows is rescaled by its largest entry (numpy still warns).
     """
     if radius <= 0:
         raise ValueError(f"ball radius must be positive, got {radius}")
@@ -272,13 +273,20 @@ def build_covariance(spec):
     return SpdMatrix(P)
 
 
-def tikhonov_solve(model, z, y, P, method="auto"):
+def _check_finite_rows(x, error, what):
+    """Raise ``error`` if ``x`` is not finite, naming the first bad row of a stack."""
+    finite = np.isfinite(x).all(axis=-1)
+    if not finite.all():
+        where = "" if x.ndim == 1 else f" in row {np.flatnonzero(~finite)[0]}"
+        raise error(f"{what} non-finite values{where}")
+
+
+def tikhonov_solve(model, z, y, P):
     """Regularized least-squares estimate ``(A_z^T A_z + P^-1)^-1 A_z^T y``.
 
-    ``method`` picks the code path: ``"primal"`` solves the n x n normal
-    equations, ``"woodbury"`` the equivalent m x m system
-    ``P A_z^T (I + A_z P A_z^T)^-1 y``, and ``"auto"`` uses Woodbury when
-    m < n. Both paths are always available and agree to rounding error.
+    When m < n it solves the equivalent m x m Woodbury system
+    ``P A_z^T (I + A_z P A_z^T)^-1 y``, otherwise the n x n normal
+    equations; the two forms agree to rounding error.
 
     ``z`` and ``y`` are one vector each, or ``(B, n)`` and ``(B, m)`` stacks
     solved row by row into a ``(B, n)`` result; each row is bitwise equal to
@@ -291,18 +299,11 @@ def tikhonov_solve(model, z, y, P, method="auto"):
         raise ValueError(f"z and y must stack the same rows, got shapes {z.shape} and {y.shape}")
     if P.n != model.n:
         raise ValueError(f"P must be {model.n} x {model.n}, got {P.n}")
-    if method == "auto":
-        method = "woodbury" if model.m < model.n else "primal"
-    if method == "primal":
-        out = kernels["tikhonov_primal"](model.A, z, y, P.P_inv)
-    elif method == "woodbury":
+    if model.m < model.n:
         out = kernels["tikhonov_woodbury"](model.A, z, y, P.P)
     else:
-        raise ValueError(f"unknown method {method!r}")
-    finite = np.isfinite(out).all(axis=-1)
-    if not finite.all():
-        where = "" if out.ndim == 1 else f" in row {np.flatnonzero(~finite)[0]}"
-        raise NumericalFailure(f"tikhonov solve produced non-finite values{where}")
+        out = kernels["tikhonov_primal"](model.A, z, y, P.P_inv)
+    _check_finite_rows(out, NumericalFailure, "tikhonov solve produced")
     return out
 
 

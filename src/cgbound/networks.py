@@ -9,9 +9,9 @@ Two realizations of the same layer template are implemented:
 * ``drcgnet``  - projected gradient descent on the data-fidelity term plus a
   learned correction subnetwork of dense ReLU layers.
 
-``forward`` runs the unrolled network and records every iterate;
-``gcgls_run`` is the underlying alternating least-squares iteration, which
-the network unrolls step for step, so it returns the forward output.
+``forward`` runs the unrolled network and records every iterate; each of
+its K layers is one round of the alternating least-squares iteration: J
+projected scale updates, then a regularized solve for the Gaussian factor.
 
 The forward pass, the scale steps and the subnetwork take one measurement
 vector or a stack of them along a leading batch axis (``y`` of shape
@@ -29,6 +29,7 @@ from .model import (
     SignalBounds,
     SpdMatrix,
     _as_rows,
+    _check_finite_rows,
     ball_project,
     mrelu,
     spectral_norm,
@@ -44,7 +45,6 @@ __all__ = [
     "subnet_forward",
     "drcgnet_scale_step",
     "forward",
-    "gcgls_run",
     "sample_parameters",
     "sample_covariance",
     "validate_parameters",
@@ -264,35 +264,31 @@ def forward(y, theta, config, model):
     them; every field of the trace then has shape ``(n,)`` or ``(B, n)``,
     and row ``i`` of each equals the trace of ``forward(y[i], ...)``
     bitwise.
+
+    A non-finite ``y`` raises ``ValueError`` naming its first bad row. An
+    overflow in the layers leaves an inf or NaN that the next solve reports
+    as ``NumericalFailure``, so numpy's warnings about it are silenced.
     """
     y = _as_rows(y, model.m, "y")
+    _check_finite_rows(y, ValueError, "y has")
     if config.n != model.n:
         raise ValueError("config.n and model.n disagree")
-    z = _initial_scale(y, model, config)
-    z0 = z
-    u = tikhonov_solve(model, z, y, theta.P)
-    us = [u]
-    zs = []
-    for k in range(config.K):
-        zk = []
-        for j in range(config.J):
-            z = _scale_update(z, u, y, model, theta.blocks[k][j], config)
-            zk.append(z)
-        zs.append(tuple(zk))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _initial_scale(y, model, config)
+        z0 = z
         u = tikhonov_solve(model, z, y, theta.P)
-        us.append(u)
-    output = ball_project(z * u, config.bounds.c_max)
+        us = [u]
+        zs = []
+        for k in range(config.K):
+            zk = []
+            for j in range(config.J):
+                z = _scale_update(z, u, y, model, theta.blocks[k][j], config)
+                zk.append(z)
+            zs.append(tuple(zk))
+            u = tikhonov_solve(model, z, y, theta.P)
+            us.append(u)
+        output = ball_project(z * u, config.bounds.c_max)
     return ForwardTrace(z0=z0, z=tuple(zs), u=tuple(us), output=output)
-
-
-def gcgls_run(y, config, theta, model):
-    """Alternating least-squares iteration that the network unrolls.
-
-    Starts from the Tikhonov estimate, runs K rounds of J projected scale
-    updates followed by a regularized least-squares refresh of the Gaussian
-    estimate, then forms the clamped Hadamard product.
-    """
-    return forward(y, theta, config, model).output
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def scaling_study_specs(sweep_section):
         p_max=1.0,
         mu_bound=1.0,
     )
-    n_spec = SweepSpec(axis="n", values=n_values, Ns=Ns, eps_conf=eps, m=1, norm_power=6.0)
+    n_spec = SweepSpec(axis="n", values=n_values, Ns=Ns, eps_conf=eps)
     n_model = MeasurementModel(np.ones((1, n_config.n)))  # rebuilt per point
     n_loss = LossSpec.ssim(tau=1.0)
 

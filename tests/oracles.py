@@ -3,8 +3,9 @@
 These deliberately avoid the package's own code paths: covering counts come
 from an explicit greedy construction, gradients from central finite
 differences, spectral norms from the symmetric eigenproblem of the Gram
-matrix, and the regularized solves from a dense normal-equations solve with
-an explicit inverse.
+matrix, the regularized solves from a dense normal-equations solve with
+an explicit inverse, and the alternating least-squares iteration that the
+networks unroll from the model equations on one measurement at a time.
 """
 
 import numpy as np
@@ -50,6 +51,57 @@ def tikhonov_oracle(A, z, y, P):
     """Dense normal-equations solve with an explicit covariance inverse."""
     Az = A @ np.diag(z)
     return np.linalg.solve(Az.T @ Az + np.linalg.inv(P), Az.T @ y)
+
+
+def _clamp(x, lo, hi):
+    return np.array([min(max(xi, lo), hi) for xi in x])
+
+
+def _project_ball(v, radius):
+    nrm = np.linalg.norm(v)
+    return v if nrm <= radius else v * (radius / nrm)
+
+
+def _relu_chain(weights, x):
+    for W in weights[:-1]:
+        x = np.maximum(W @ x, 0.0)
+    return weights[-1] @ x
+
+
+def alternating_ls_oracle(y, A, P, blocks, config):
+    """Alternating least-squares iteration that the unrolled networks mirror.
+
+    The scale starts at the normalized back-projection ``A^T y / ||A||_2``
+    clamped to ``[lo, z_inf]`` (``lo`` is ``a`` for cgnet, 0 for drcgnet) and
+    the Gaussian estimate at the dense regularized solve. Each of the K
+    rounds applies J scale updates, each clamped to ``[0, z_inf]``, then
+    refreshes the Gaussian estimate:
+
+    * cgnet, step ``(B, mu)``: ``clamp(z - B proj_xi(g + mu log(z) / z), a, b)``,
+    * drcgnet, step ``(W_1 .. W_Lc, delta)``:
+      ``z - delta proj_xi(g) + W_Lc relu(... relu(W_1 z))``,
+
+    with the data-term gradient ``g = A_u^T (A_u z - y)``, ``A_u = A diag(u)``.
+    The output is ``z * u`` projected onto the c_max ball. ``y`` is one
+    measurement; ``blocks[k][j]`` are the blocks of step j in round k.
+    """
+    b = config.bounds
+    lo = b.a if config.variant == "cgnet" else 0.0
+    z = _clamp(A.T @ y / np.linalg.norm(A, 2), lo, b.z_inf)
+    u = tikhonov_oracle(A, z, y, P)
+    for k in range(config.K):
+        for j in range(config.J):
+            Au = A @ np.diag(u)
+            g = Au.T @ (Au @ z - y)
+            if config.variant == "cgnet":
+                B, mu = blocks[k][j]
+                z = _clamp(z - B @ _project_ball(g + mu * np.log(z) / z, b.xi), b.a, b.b)
+            else:
+                *weights, delta = blocks[k][j]
+                z = z - delta * _project_ball(g, b.xi) + _relu_chain(weights, z)
+            z = _clamp(z, 0.0, b.z_inf)
+        u = tikhonov_oracle(A, z, y, P)
+    return _project_ball(z * u, b.c_max)
 
 
 def random_spd(rng, n, jitter=1e-2):

@@ -6,8 +6,9 @@ and asserts the criterion:
  1. all twelve inequality targets pass 10^4 seeded randomized trials with
     zero violations at tolerance 1e-9 relative + 1e-12 absolute
  2. primal and Woodbury solver paths agree to 1e-8 relative on 10^4 draws
- 3. the alternating iteration matches the unrolled forward pass within
-    1e-12 on 100 random configurations
+ 3. the alternating least-squares iteration, computed independently from
+    the model equations, matches the unrolled forward pass within 1e-12 on
+    100 random configurations
  4. the closed-form entropy-integral bound dominates adaptive quadrature
     (tol 1e-8) on 10^3 random (beta, nu) pairs with gap >= -1e-10
  5. (term2 + term3) * sqrt(Ns) is constant to 1e-10 relative across
@@ -40,11 +41,14 @@ from cgbound.bounds import (
     geb_bound,
     scaling_fit,
 )
-from cgbound.model import MeasurementModel, SignalBounds, SpdMatrix, tikhonov_solve
-from cgbound.networks import NetworkConfig, forward, gcgls_run, sample_parameters
+from cgbound.backend import kernels
+from cgbound.model import MeasurementModel, SignalBounds, SpdMatrix
+from cgbound.networks import NetworkConfig, forward, sample_parameters
 from cgbound.report import default_config, run_gap_suite, run_report, scaling_study_specs
 from cgbound.serialize import load_run_config
 from cgbound.verify import TARGETS, verify_lipschitz
+
+from oracles import alternating_ls_oracle
 
 ACCEPT_SEED = 0xACCE_2025
 
@@ -82,8 +86,8 @@ def test_02_solver_path_equivalence():
         P = SpdMatrix(G @ G.T + 1e-2 * np.eye(n))
         z = rng.uniform(-2, 2, size=n)
         y = rng.standard_normal(m)
-        t1 = tikhonov_solve(model, z, y, P, method="primal")
-        t2 = tikhonov_solve(model, z, y, P, method="woodbury")
+        t1 = kernels["tikhonov_primal"](model.A, z, y, P.P_inv)
+        t2 = kernels["tikhonov_woodbury"](model.A, z, y, P.P)
         rel = np.linalg.norm(t1 - t2) / max(np.linalg.norm(t1), 1e-30)
         worst = max(worst, rel)
     ok = worst <= 1e-8
@@ -104,7 +108,12 @@ def _random_config(rng, n):
     )
 
 
-def test_03_iteration_matches_unrolling():
+def _worst_iteration_gap(scale=1.0):
+    """Worst |oracle - forward| over the 100 configurations of criterion 3.
+
+    ``scale`` multiplies the first parameter block of each draw in the
+    oracle's copy only, to show the comparison can fail.
+    """
     rng = np.random.default_rng(ACCEPT_SEED + 1)
     worst = 0.0
     for _ in range(100):
@@ -113,13 +122,23 @@ def test_03_iteration_matches_unrolling():
         config = _random_config(rng, n)
         theta = sample_parameters(config, int(rng.integers(2**31)))
         y = rng.standard_normal(m)
-        diff = np.max(np.abs(
-            gcgls_run(y, config, theta, model) - forward(y, theta, config, model).output
-        ))
+        (first, *steps), *layers = theta.blocks
+        blocks = (((first[0] * scale, *first[1:]), *steps), *layers)
+        ref = alternating_ls_oracle(y, model.A, theta.P.P, blocks, config)
+        diff = np.max(np.abs(ref - forward(y, theta, config, model).output))
         worst = max(worst, float(diff))
+    return worst
+
+
+def test_03_iteration_matches_unrolling():
+    worst = _worst_iteration_gap()
     ok = worst <= 1e-12
     _line(3, "iteration-matches-unrolling", ok, f"worst abs difference {worst:.2e} over 100 configs")
     assert ok
+
+
+def test_03_detects_a_perturbed_block():
+    assert _worst_iteration_gap(scale=1.0 + 1e-6) > 1e-12
 
 
 def test_04_entropy_integral_dominance():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cgbound.datagen import generate_cg_dataset
 from cgbound.model import (
     MeasurementModel,
     NumericalFailure,
@@ -22,7 +23,6 @@ from cgbound.networks import (
     cgnet_scale_step,
     drcgnet_scale_step,
     forward,
-    gcgls_run,
     grad_z_F,
     parameter_distance,
     sample_covariance,
@@ -30,8 +30,10 @@ from cgbound.networks import (
     subnet_forward,
     validate_parameters,
 )
+from cgbound.report import default_config
+from cgbound.serialize import load_run_config
 
-from oracles import central_diff_grad, random_spd
+from oracles import alternating_ls_oracle, central_diff_grad, random_spd
 
 SEED_NET = 0x5EED_0002
 
@@ -249,18 +251,42 @@ class TestForward:
             with pytest.raises(ValueError, match="y must have shape"):
                 forward(bad, theta, config, model)
 
+    @pytest.mark.filterwarnings("error")
     def test_numerical_failure_names_row(self):
+        # the overflow surfaces as the named failure, with no warning first
         rng = np.random.default_rng(SEED_NET)
         model = _model(rng)
         for config in (_cg_config(), _dr_config()):
             theta = sample_parameters(config, 1)
             Y = rng.standard_normal((4, 4))
             Y[2] = 1e200
-            with np.errstate(all="ignore"):
-                with pytest.raises(NumericalFailure, match="non-finite values in row 2$"):
-                    forward(Y, theta, config, model)
-                with pytest.raises(NumericalFailure, match="non-finite values$"):
-                    forward(Y[2], theta, config, model)
+            with pytest.raises(NumericalFailure, match="non-finite values in row 2$"):
+                forward(Y, theta, config, model)
+            with pytest.raises(NumericalFailure, match="non-finite values$"):
+                forward(Y[2], theta, config, model)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_measurement(self, bad):
+        rng = np.random.default_rng(SEED_NET)
+        model = _model(rng)
+        config = _dr_config()
+        theta = sample_parameters(config, 1)
+        Y = rng.standard_normal((4, 4))
+        Y[1, 3] = bad
+        with pytest.raises(ValueError, match="^y has non-finite values in row 1$"):
+            forward(Y, theta, config, model)
+        with pytest.raises(ValueError, match="^y has non-finite values$"):
+            forward(Y[1], theta, config, model)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_measurement_reaches_signal_ball(self):
+        # z * u has a squared norm above the float64 range; its projection
+        # must land on the c_max sphere, not at zero
+        cfg = load_run_config(default_config())
+        theta = sample_parameters(cfg.network, 3)
+        y = 1e155 * generate_cg_dataset(cfg.dataset_spec).Y[0]
+        out = forward(y, theta, cfg.network, cfg.model).output
+        assert np.linalg.norm(out) == pytest.approx(cfg.network.bounds.c_max, rel=1e-12)
 
 
 def _trace_fields(trace):
@@ -302,7 +328,15 @@ class TestStackedForward:
             assert np.all((z >= 0.0) & (z <= config.bounds.z_inf))
 
 
+class TestNetworkConfig:
+    def test_requires_at_least_one_layer(self):
+        with pytest.raises(ValueError):
+            _cg_config(K=0)
+
+
 class TestGcgls:
+    """The forward pass against the alternating least-squares oracle."""
+
     def test_matches_forward_bit_path(self):
         rng = np.random.default_rng(SEED_NET)
         for trial in range(20):
@@ -312,21 +346,17 @@ class TestGcgls:
                                                          J=int(rng.integers(1, 3)))
             theta = sample_parameters(config, trial)
             y = rng.standard_normal(m)
-            out = gcgls_run(y, config, theta, model)
-            ref = forward(y, theta, config, model).output
+            ref = alternating_ls_oracle(y, model.A, theta.P.P, theta.blocks, config)
+            out = forward(y, theta, config, model).output
             assert np.max(np.abs(out - ref)) <= 1e-12
-
-    def test_requires_at_least_one_layer(self):
-        with pytest.raises(ValueError):
-            _cg_config(K=0)
 
     def test_zero_measurement(self):
         rng = np.random.default_rng(SEED_NET)
         model = _model(rng)
         config = _dr_config()
         theta = sample_parameters(config, 2)
-        np.testing.assert_allclose(gcgls_run(np.zeros(4), config, theta, model),
-                                   np.zeros(8), atol=1e-14)
+        out = alternating_ls_oracle(np.zeros(4), model.A, theta.P.P, theta.blocks, config)
+        np.testing.assert_allclose(out, np.zeros(8), atol=1e-14)
 
 
 class TestSampling:
