@@ -23,7 +23,6 @@ from .datagen import CgDataSpec, CgDataset, GapReport, empirical_gap, generate_c
 from .lipschitz import (
     AggregateConstants,
     StepConstants,
-    aggregate_step,
     cgnet_step_constants,
     datafit_grad_constants,
     drcgnet_step_constants,
@@ -32,7 +31,6 @@ from .lipschitz import (
     network_constants_exact,
     step_constants,
     tikhonov_constants,
-    tikhonov_constants_exact,
 )
 from .model import (
     CovarianceSpec,

@@ -183,17 +183,24 @@ def covering_log_bound(omega, alpha, eps):
     return alpha * math.log1p(2.0 * omega / eps)
 
 
+def _log_factor(log_coeff, log_kappa):
+    # ln(e * (1 + coeff * kappa)) evaluated from logs, stable for huge kappa
+    return 1.0 + np.logaddexp(0.0, log_coeff + log_kappa)
+
+
 def dudley_closed_form(beta, nu):
     """Closed-form upper bound ``beta * sqrt(ln(e*(1 + nu/beta)))``.
 
     Dominates ``integral_0^beta sqrt(ln(1 + nu/eps)) d eps`` for every
-    nu >= 0, beta > 0.
+    nu >= 0, beta > 0. Evaluated by the same log-domain factor that
+    :func:`geb_bound` applies to each covering block.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    return beta * math.sqrt(1.0 + math.log1p(nu / beta))
+    log_ratio = math.log(nu) - math.log(beta) if nu > 0 else -math.inf
+    return beta * math.sqrt(_log_factor(log_ratio, 0.0))
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -254,11 +261,6 @@ def ymax_estimate(model, c_max, mode, dataset=None):
 def norm_log_sum(model, y_max):
     """Diagnostic ``log(y_max) + log(||A||_2) + log(||A||_inf)``."""
     return math.log(y_max) + math.log(model.norm2) + math.log(model.norm_inf)
-
-
-def _log_factor(log_coeff, log_kappa):
-    # ln(e * (1 + coeff * kappa)) evaluated from logs, stable for huge kappa
-    return 1.0 + np.logaddexp(0.0, log_coeff + log_kappa)
 
 
 def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):

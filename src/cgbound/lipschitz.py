@@ -21,14 +21,11 @@ __all__ = [
     "H_MAX",
     "TAU_H",
     "StepConstants",
-    "AggregateStep",
     "AggregateConstants",
     "step_constants",
     "cgnet_step_constants",
     "drcgnet_step_constants",
-    "aggregate_step",
     "tikhonov_constants",
-    "tikhonov_constants_exact",
     "network_constants",
     "network_constants_exact",
     "datafit_grad_constants",
@@ -74,15 +71,6 @@ class StepConstants:
 
 
 @dataclass(frozen=True)
-class AggregateStep:
-    """Constants of the J-fold composition of scale updates in one layer."""
-
-    r_hat1: float
-    r_hat2: float
-    r_hat3: np.ndarray  # shape (J, D), entry [j-1, d-1]
-
-
-@dataclass(frozen=True)
 class AggregateConstants:
     """End-to-end sensitivity coefficients of the unrolled network.
 
@@ -109,28 +97,20 @@ def cgnet_step_constants(z_inf, xi, p_max, mu_bound, y_max, model):
     """Contraction constants of the projected steepest-descent scale update."""
     if y_max < 0:
         raise ValueError("y_max must be nonnegative")
-    a2, ainf = model.norm2, model.norm_inf
-    core = z_inf * p_max * y_max * a2 * ainf
-    r1 = 1.0 + p_max * (core**2 + mu_bound * TAU_H)
-    r2 = p_max * y_max * a2 * (1.0 + z_inf**2 * p_max * a2 * (a2 + ainf))
-    return StepConstants(r1=r1, r2=r2, r3=(xi, p_max * H_MAX))
+    Lz, Lu = datafit_grad_constants(z_inf, p_max, y_max, model)
+    r1 = 1.0 + p_max * (Lz + mu_bound * TAU_H)
+    return StepConstants(r1=r1, r2=p_max * Lu, r3=(xi, p_max * H_MAX))
 
 
 def drcgnet_step_constants(n, z_inf, xi, p_max, delta, weight_bounds, y_max, model):
     """Contraction constants of the learned-correction scale update."""
     if y_max < 0:
         raise ValueError("y_max must be nonnegative")
-    a2, ainf = model.norm2, model.norm_inf
-    core = z_inf * p_max * y_max * a2 * ainf
-    wprod = float(np.prod(weight_bounds))
-    r1 = 1.0 + delta * core**2 + wprod
-    r2 = delta * y_max * a2 * (1.0 + z_inf**2 * p_max * a2 * (a2 + ainf))
-    r3 = []
-    for d in range(1, len(weight_bounds) + 1):
-        others = [w for ell, w in enumerate(weight_bounds, start=1) if ell != d]
-        r3.append(math.sqrt(n) * z_inf * float(np.prod(others)))
-    r3.append(xi)
-    return StepConstants(r1=r1, r2=r2, r3=tuple(r3))
+    Lz, Lu = datafit_grad_constants(z_inf, p_max, y_max, model)
+    # the correction subnetwork's input is a scale, of 2-norm <= sqrt(n) z_inf
+    wprod, weight_coeffs = fc_lipschitz(weight_bounds, 1.0, math.sqrt(n) * z_inf)
+    r1 = 1.0 + delta * Lz + wprod
+    return StepConstants(r1=r1, r2=delta * Lu, r3=(*weight_coeffs, xi))
 
 
 def step_constants(config, model, y_max):
@@ -147,43 +127,16 @@ def step_constants(config, model, y_max):
     )
 
 
-def aggregate_step(rc, J):
-    """Compose J identical scale updates.
+def tikhonov_constants(y_norm2, z_inf, p_max, p_max_tilde, cond, model):
+    """Sensitivity of the regularized least-squares estimate.
 
-    ``r_hat1 = r1^J``; ``r_hat2`` is evaluated as the explicit geometric sum
-    ``r2 * sum_j r1^(J-j)`` (finite at r1 = 1 where the quotient form is
-    singular); ``r_hat3[j-1, d-1] = r3[d] * r1^(J-j)``.
+    ``c1`` multiplies scale movement, ``c2`` covariance movement, for pairs
+    ``(P, P_tilde)`` with ``||P||_2 <= p_max``, ``||P_tilde||_2 <=
+    p_max_tilde`` and ``cond(P) * cond(P_tilde) <= cond``.
     """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    powers = rc.r1 ** np.arange(J - 1, -1, -1, dtype=np.float64)  # r1^(J-j), j=1..J
-    r_hat3 = powers[:, None] * np.asarray(rc.r3, dtype=np.float64)[None, :]
-    return AggregateStep(
-        r_hat1=float(rc.r1**J),
-        r_hat2=float(rc.r2 * powers.sum()),
-        r_hat3=r_hat3,
-    )
-
-
-def tikhonov_constants(y_norm2, z_inf, p_max, p_min, model):
-    """Worst-case sensitivity of the regularized least-squares estimate.
-
-    ``c1`` multiplies scale movement, ``c2`` covariance movement, maximized
-    over all SPD matrices with spectrum in [p_min, p_max].
-    """
-    if p_min > p_max:
-        raise ValueError("require p_min <= p_max")
     a2 = model.norm2
-    c1 = p_max * y_norm2 * a2 * (1.0 + 2.0 * z_inf**2 * p_max * a2**2)
-    c2 = z_inf * y_norm2 * a2 * (p_max / p_min) ** 2
-    return c1, c2
-
-
-def tikhonov_constants_exact(y_norm2, z_inf, P, P_tilde, model):
-    """Instance-exact version of :func:`tikhonov_constants` for a given pair."""
-    a2 = model.norm2
-    c1 = P.p_max * a2 * y_norm2 * (1.0 + 2.0 * z_inf**2 * P_tilde.p_max * a2**2)
-    c2 = z_inf * a2 * y_norm2 * P.cond * P_tilde.cond
+    c1 = p_max * y_norm2 * a2 * (1.0 + 2.0 * z_inf**2 * p_max_tilde * a2**2)
+    c2 = z_inf * y_norm2 * a2 * cond
     return c1, c2
 
 
@@ -221,7 +174,12 @@ def fc_lipschitz(weight_norms, tau, x_norm):
 
 
 def _assemble(config, c1, c2, rc, kappa_prefactor):
-    """Log-domain assembly of the layer-chained constants."""
+    """Log-domain assembly of the layer-chained constants.
+
+    One layer's J updates compose to ``r_hat1 = r1^J``, ``r_hat2 = r2 *
+    sum_j r1^(J-j)`` (a sum, finite at r1 = 1) and ``r_hat3[j-1, d-1] =
+    r3[d] * r1^(J-j)``.
+    """
     K, J, D = config.K, config.J, config.D
     log_r1 = _safe_log(rc.r1)
     log_r2 = _safe_log(rc.r2)
@@ -268,9 +226,10 @@ def network_constants(config, model, y_max):
     bound.
     """
     b = config.bounds
-    c1, c2 = tikhonov_constants(y_max, b.z_inf, config.p_max, config.p_min, model)
+    p_max = config.p_max
+    c1, c2 = tikhonov_constants(y_max, b.z_inf, p_max, p_max, (p_max / config.p_min) ** 2, model)
     rc = step_constants(config, model, y_max)
-    pref = b.z_inf * (c1 + config.p_max * y_max * model.norm_inf)
+    pref = b.z_inf * (c1 + p_max * y_max * model.norm_inf)
     return _assemble(config, c1, c2, rc, pref)
 
 
@@ -285,7 +244,7 @@ def network_constants_exact(config, model, y, P, P_tilde):
     y2 = float(np.linalg.norm(y))
     y_inf = float(np.abs(y).max()) if y.size else 0.0
     b = config.bounds
-    c1, c2 = tikhonov_constants_exact(y2, b.z_inf, P, P_tilde, model)
+    c1, c2 = tikhonov_constants(y2, b.z_inf, P.p_max, P_tilde.p_max, P.cond * P_tilde.cond, model)
     rc = step_constants(config, model, y2)
     pref = b.z_inf * (c1 + P.p_max * model.norm_inf * y_inf)
     return _assemble(config, c1, c2, rc, pref)

@@ -79,13 +79,20 @@ def scaling_study_specs(sweep_section):
     Ns = int(sweep_section.get("Ns", 10000))
     eps = float(sweep_section.get("eps_conf", 0.05))
 
-    n_values = tuple(sweep_section.get("n_values", (4, 8, 16, 32, 64)))
-    kj_values = tuple(sweep_section.get("kj_values", (4, 16, 64, 256, 1024, 4096)))
-    ns_values = tuple(sweep_section.get("ns_values", (100, 1000, 10000, 100000, 1000000)))
+    def spec(axis, key, default):
+        try:
+            values = tuple(sweep_section.get(key, default))
+            return SweepSpec(axis=axis, values=values, Ns=Ns, eps_conf=eps)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep.{key}: {exc}") from None
+
+    n_spec = spec("n", "n_values", (4, 8, 16, 32, 64))
+    kj_spec = spec("kj", "kj_values", (4, 16, 64, 256, 1024, 4096))
+    ns_spec = spec("ns", "ns_values", (100, 1000, 10000, 100000, 1000000))
 
     n_config = NetworkConfig(
         variant="cgnet",
-        n=int(n_values[0]),
+        n=int(n_spec.values[0]),
         K=4,
         J=4,
         bounds=SignalBounds.default(),
@@ -93,7 +100,6 @@ def scaling_study_specs(sweep_section):
         p_max=1.0,
         mu_bound=1.0,
     )
-    n_spec = SweepSpec(axis="n", values=n_values, Ns=Ns, eps_conf=eps)
     n_model = MeasurementModel(np.ones((1, n_config.n)))  # rebuilt per point
     n_loss = LossSpec.ssim(tau=1.0)
 
@@ -113,8 +119,6 @@ def scaling_study_specs(sweep_section):
         delta=0.9,
     )
     kj_loss = LossSpec.mae(kj_config.n, kj_config.bounds.c_max)
-    kj_spec = SweepSpec(axis="kj", values=kj_values, Ns=Ns, eps_conf=eps)
-    ns_spec = SweepSpec(axis="ns", values=ns_values, Ns=Ns, eps_conf=eps)
 
     return {
         "n": (n_config, n_model, n_spec, n_loss),
@@ -195,8 +199,9 @@ def run_report(run_config, outdir):
     os.makedirs(outdir, exist_ok=True)
     failures = []
 
-    # bound on the configured network; first, so a config error raises
-    # before any suite runs
+    # the sweep specs and the bound come first, so a config error raises
+    # before any suite runs or any payload is written
+    studies = scaling_study_specs(run_config.sweep) if run_config.sweep else {}
     bound = config_bound(run_config)
     _write(outdir, "bound.json", dumps_canonical(bound.to_dict()))
 
@@ -213,8 +218,7 @@ def run_report(run_config, outdir):
     _write(outdir, "verify.json", dumps_canonical(verify_payload))
 
     # scaling studies
-    if run_config.sweep:
-        studies = scaling_study_specs(run_config.sweep)
+    if studies:
         fits = {}
         for axis, (cfg, mdl, spec, loss) in studies.items():
             _write(outdir, f"sweep_{axis}.csv", sweep_csv(cfg, mdl, loss, spec))

@@ -89,6 +89,15 @@ def parameters_to_json(theta):
     return {"P": array_to_json(theta.P.P), "blocks": blocks}
 
 
+def _block_from_json(obj, path):
+    if isinstance(obj, dict):
+        return array_from_json(obj, path)
+    try:
+        return float(obj)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected a number or an array object, got {obj!r}") from None
+
+
 def parameters_from_json(obj, config, path="params"):
     """Inverse of :func:`parameters_to_json`, validated against the config."""
     from .model import SpdMatrix
@@ -101,22 +110,22 @@ def parameters_from_json(obj, config, path="params"):
     except ValueError as exc:
         raise ConfigError(f"{path}.P: {exc}") from None
     raw = obj["blocks"]
-    if len(raw) != config.K or any(len(row) != config.J for row in raw):
+    if not isinstance(raw, list) or len(raw) != config.K:
         raise ConfigError(f"{path}.blocks: expected a {config.K} x {config.J} grid")
     blocks = []
     for k, row in enumerate(raw, start=1):
+        if not isinstance(row, list) or len(row) != config.J:
+            raise ConfigError(f"{path}.blocks[{k}]: expected a list of {config.J} steps")
         out_row = []
         for j, kj in enumerate(row, start=1):
-            if len(kj) != config.D:
+            if not isinstance(kj, list) or len(kj) != config.D:
                 raise ConfigError(
                     f"{path}.blocks[{k}][{j}]: expected {config.D} parameter blocks"
                 )
-            parsed = tuple(
-                array_from_json(b, f"{path}.blocks[{k}][{j}][{d}]")
-                if isinstance(b, dict) else float(b)
+            out_row.append(tuple(
+                _block_from_json(b, f"{path}.blocks[{k}][{j}][{d}]")
                 for d, b in enumerate(kj, start=1)
-            )
-            out_row.append(parsed)
+            ))
         blocks.append(tuple(out_row))
     theta = ParameterSet(P=P, blocks=tuple(blocks))
     try:
@@ -137,16 +146,17 @@ def _section(cfg, name, required=True):
 
 
 def _get(sec, key, path, cast=None, required=True, default=None):
+    name = f"{path}.{key}" if path else key
     if key not in sec:
         if required:
-            raise ConfigError(f"{path}.{key}: missing required field")
+            raise ConfigError(f"{name}: missing required field")
         return default
     value = sec[key]
     if cast is not None:
         try:
             return cast(value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.{key}: {exc}") from None
+            raise ConfigError(f"{name}: {exc}") from None
     return value
 
 
@@ -264,7 +274,7 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected a JSON object")
         self.raw = raw
-        self.seed = int(raw.get("seed", 0))
+        self.seed = _get(raw, "seed", "", int, required=False, default=0)
         self.model = _parse_model(_section(raw, "model"))
         self.bounds = _parse_bounds(_section(raw, "bounds", required=False))
         self.network = _parse_network(_section(raw, "network"), self.model.n, self.bounds)
@@ -322,6 +332,9 @@ class RunConfig:
         self.gap_Ns = _get(gap, "Ns", "gap", int, required=False, default=48)
         self.gap_test_draws = _get(gap, "test_draws", "gap", int, required=False, default=2000)
         self.gap_seed = _get(gap, "seed", "gap", int, required=False, default=self.seed)
+        for key in ("suite_size", "Ns", "test_draws"):
+            if getattr(self, f"gap_{key}") < 1:
+                raise ConfigError(f"gap.{key}: must be >= 1")
 
 
 def load_run_config(source):

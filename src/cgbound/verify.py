@@ -32,12 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lipschitz import (
-    aggregate_step,
     datafit_grad_constants,
     fc_lipschitz,
     network_constants_exact,
-    step_constants,
-    tikhonov_constants_exact,
+    tikhonov_constants,
 )
 from .model import (
     MeasurementModel,
@@ -232,7 +230,8 @@ def _trial_tikhonov_lipschitz(rng, dims):
     lhs = float(np.linalg.norm(
         tikhonov_solve(model, z1, y, P) - tikhonov_solve(model, z2, y, Pt)
     ))
-    c1, c2 = tikhonov_constants_exact(float(np.linalg.norm(y)), z_inf, P, Pt, model)
+    y2 = float(np.linalg.norm(y))
+    c1, c2 = tikhonov_constants(y2, z_inf, P.p_max, Pt.p_max, P.cond * Pt.cond, model)
     rhs = c1 * float(np.abs(z1 - z2).max()) + c2 * spectral_norm(P.P - Pt.P)
     return lhs, rhs
 
@@ -292,14 +291,14 @@ def _trial_scale_mapping(rng, dims):
         a2 = _scale_update(a2, u2, y, model, t2.blocks[0][j], config)
     lhs = float(np.linalg.norm(a1 - a2))
 
-    rc = step_constants(config, model, float(np.linalg.norm(y)))
-    agg = aggregate_step(rc, J)
+    # K = 1, so the layer constants are the J-fold composition itself
+    cns = network_constants_exact(config, model, y, P1, P2)
     _, dist = parameter_distance(t1, t2, config)
-    rhs = agg.r_hat1 * float(np.linalg.norm(z1 - z2))
-    rhs += agg.r_hat2 * float(np.linalg.norm(u1 - u2))
+    rhs = cns.r_hat1 * float(np.linalg.norm(z1 - z2))
+    rhs += cns.r_hat2 * float(np.linalg.norm(u1 - u2))
     for j in range(1, J + 1):
         for d in range(1, config.D + 1):
-            rhs += agg.r_hat3[j - 1, d - 1] * dist[(1, j, d)]
+            rhs += cns.r_hat3[j - 1, d - 1] * dist[(1, j, d)]
     return lhs, rhs
 
 

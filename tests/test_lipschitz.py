@@ -9,7 +9,7 @@ from cgbound.lipschitz import (
     H_MAX,
     TAU_H,
     StepConstants,
-    aggregate_step,
+    _assemble,
     cgnet_step_constants,
     datafit_grad_constants,
     drcgnet_step_constants,
@@ -18,7 +18,6 @@ from cgbound.lipschitz import (
     network_constants_exact,
     step_constants,
     tikhonov_constants,
-    tikhonov_constants_exact,
 )
 from cgbound.model import MeasurementModel, SignalBounds
 from cgbound.networks import NetworkConfig, sample_covariance
@@ -94,19 +93,25 @@ class TestStepConstants:
             cgnet_step_constants(E3, 1.0, 2.0, 1.0, -1.0, UNIT_MODEL)
 
 
-class TestAggregateStep:
+def _compose(rc, J):
+    """The J-fold composition as the bound assembles it: one layer (K = 1)."""
+    return _assemble(_cg_config(K=1, J=J), 1.0, 1.0, rc, 1.0)
+
+
+class TestLayerComposition:
     def test_single_step_identity(self):
         rc = StepConstants(r1=3.0, r2=2.0, r3=(0.5, 0.25))
-        agg = aggregate_step(rc, 1)
-        assert agg.r_hat1 == 3.0 and agg.r_hat2 == 2.0
-        np.testing.assert_allclose(agg.r_hat3, [[0.5, 0.25]])
+        agg = _compose(rc, 1)
+        assert agg.r_hat1 == pytest.approx(3.0, rel=1e-15)
+        assert agg.r_hat2 == pytest.approx(2.0, rel=1e-15)
+        np.testing.assert_allclose(agg.r_hat3, [[0.5, 0.25]], rtol=1e-15)
 
     def test_unit_contraction_degenerate_sum(self):
-        agg = aggregate_step(StepConstants(r1=1.0, r2=0.3, r3=(1.0,)), 5)
+        agg = _compose(StepConstants(r1=1.0, r2=0.3, r3=(1.0, 1.0)), 5)
         assert agg.r_hat2 == pytest.approx(5 * 0.3)
 
     def test_geometric_sum_value(self):
-        agg = aggregate_step(StepConstants(r1=2.0, r2=1.0, r3=(1.0,)), 3)
+        agg = _compose(StepConstants(r1=2.0, r2=1.0, r3=(1.0, 1.0)), 3)
         assert agg.r_hat2 == pytest.approx(7.0)  # 4 + 2 + 1
         assert agg.r_hat1 == pytest.approx(8.0)
         np.testing.assert_allclose(agg.r_hat3[:, 0], [4.0, 2.0, 1.0])
@@ -114,26 +119,37 @@ class TestAggregateStep:
     def test_continuity_at_unit_contraction(self):
         # explicit sum agrees with the quotient form on both sides of r1 = 1
         for r1 in (1.0 - 1e-8, 1.0 + 1e-8):
-            agg = aggregate_step(StepConstants(r1=r1, r2=1.3, r3=(1.0,)), 6)
+            agg = _compose(StepConstants(r1=r1, r2=1.3, r3=(1.0, 1.0)), 6)
             quotient = 1.3 * (1.0 - r1**6) / (1.0 - r1)
             assert agg.r_hat2 == pytest.approx(quotient, rel=1e-6)
             assert agg.r_hat2 == pytest.approx(1.3 * 6, rel=1e-6)
 
 
+def _worst_tikhonov(y_norm2, z_inf, p_max, p_min, model):
+    return tikhonov_constants(y_norm2, z_inf, p_max, p_max, (p_max / p_min) ** 2, model)
+
+
 class TestTikhonovConstants:
     def test_zero_measurement(self):
-        assert tikhonov_constants(0.0, E3, 2.0, 0.5, UNIT_MODEL) == (0.0, 0.0)
+        assert _worst_tikhonov(0.0, E3, 2.0, 0.5, UNIT_MODEL) == (0.0, 0.0)
 
     def test_zero_scale_radius(self):
-        c1, c2 = tikhonov_constants(1.5, 0.0, 2.0, 0.5, UNIT_MODEL)
+        c1, c2 = _worst_tikhonov(1.5, 0.0, 2.0, 0.5, UNIT_MODEL)
         assert c1 == pytest.approx(2.0 * 1.5) and c2 == 0.0
 
     def test_numeric_instance(self):
         model = MeasurementModel(np.array([[3.0]]))
-        c1, c2 = tikhonov_constants(2.0, 1.5, 4.0, 0.5, model)
+        c1, c2 = _worst_tikhonov(2.0, 1.5, 4.0, 0.5, model)
         # c1 = 4*2*3*(1 + 2*1.5^2*4*9); c2 = 1.5*2*3*(4/0.5)^2
         assert c1 == pytest.approx(24.0 * 163.0, rel=1e-14)
         assert c2 == pytest.approx(9.0 * 64.0, rel=1e-14)
+
+    def test_pair_norms_enter_separately(self):
+        model = MeasurementModel(np.array([[3.0]]))
+        c1, c2 = tikhonov_constants(2.0, 1.5, 4.0, 0.5, 5.0, model)
+        # c1 = 4*2*3*(1 + 2*1.5^2*0.5*9); c2 = 1.5*2*3*5
+        assert c1 == pytest.approx(24.0 * 21.25, rel=1e-14)
+        assert c2 == pytest.approx(9.0 * 5.0, rel=1e-14)
 
     def test_worst_case_dominates_exact(self):
         rng = np.random.default_rng(SEED_LIP)
@@ -143,8 +159,8 @@ class TestTikhonovConstants:
             P = sample_covariance("full", n, 0.5, 2.0, rng)
             Pt = sample_covariance("full", n, 0.5, 2.0, rng)
             y2 = float(rng.uniform(0, 3))
-            exact = tikhonov_constants_exact(y2, E3, P, Pt, model)
-            worst = tikhonov_constants(y2, E3, 2.0, 0.5, model)
+            exact = tikhonov_constants(y2, E3, P.p_max, Pt.p_max, P.cond * Pt.cond, model)
+            worst = _worst_tikhonov(y2, E3, 2.0, 0.5, model)
             assert worst[0] >= exact[0] * (1 - 1e-12)
             assert worst[1] >= exact[1] * (1 - 1e-12)
 
@@ -192,7 +208,7 @@ class TestNetworkConstants:
         model = MeasurementModel(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.5]]))
         cfg = _cg_config(K=1, J=1)
         cns = network_constants(cfg, model, 1.2)
-        c1, c2 = tikhonov_constants(1.2, E3, 2.0, 0.5, model)
+        c1, c2 = _worst_tikhonov(1.2, E3, 2.0, 0.5, model)
         assert cns.c_hat1 == pytest.approx(c2 * cns.r_hat2, rel=1e-12)
 
     def test_two_layer_hand_expansion(self):
@@ -200,7 +216,7 @@ class TestNetworkConstants:
         cfg = _cg_config(K=2, J=1)
         cns = network_constants(cfg, model, 0.9)
         rc = step_constants(cfg, model, 0.9)
-        c1, c2 = tikhonov_constants(0.9, E3, 2.0, 0.5, model)
+        c1, c2 = _worst_tikhonov(0.9, E3, 2.0, 0.5, model)
         expected = c2 * (rc.r2 * (rc.r1 + rc.r2 * c1) + rc.r2)
         assert cns.c_hat1 == pytest.approx(expected, rel=1e-10)
         pref = E3 * (c1 + 2.0 * 0.9 * model.norm_inf)

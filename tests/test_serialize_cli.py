@@ -1,7 +1,10 @@
 """JSON schema round-trips, config validation, and the CLI surface."""
 
+import importlib
 import json
 import os
+import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -139,6 +142,24 @@ class TestRunConfig:
         assert "verify.targets" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("gap.Ns", 0),
+        ("gap.test_draws", 0),
+        ("gap.suite_size", 0),
+        ("sweep.ns_values", [100, 1000]),
+        ("seed", None),
+    ], ids=["gap_Ns", "gap_test_draws", "gap_suite_size", "two_ns_values", "null_seed"])
+    def test_report_rejects_before_any_suite(self, tmp_path, capsys, field, value):
+        cfg = _small_config()
+        *section, key = field.split(".")
+        (cfg[section[0]] if section else cfg)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["report", str(path), "--out", str(out)]) == 1
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
+
     def test_json_string_and_file_sources(self, tmp_path):
         text = json.dumps(_small_config())
         assert load_run_config(text).model.n == 8
@@ -247,6 +268,13 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "verify" in proc.stdout
 
+    def test_every_exported_name_resolves(self):
+        # tools that wrap the package's functions look up each name in __all__
+        for info in pkgutil.iter_modules(cgbound.__path__, prefix="cgbound."):
+            module = importlib.import_module(info.name)
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{info.name}.__all__ names missing {name!r}"
+
     @pytest.mark.skipif(shutil.which("cgbound") is None,
                         reason="no installed cgbound script on PATH")
     def test_installed_script_runs(self):
@@ -302,6 +330,32 @@ class TestParameterSerialization:
         payload["blocks"] = payload["blocks"][:1]
         with pytest.raises(ConfigError, match="blocks"):
             parameters_from_json(payload, cfg)
+
+    @pytest.mark.parametrize("where, value, field", [
+        ((0, 0, 1), [0.1], "params.blocks[1][1][2]"),
+        ((0, 0, 1), None, "params.blocks[1][1][2]"),
+        ((1,), 3, "params.blocks[2]"),
+    ], ids=["list_for_scalar", "null_for_scalar", "int_for_row"])
+    def test_malformed_blocks_name_their_path(self, tmp_path, capsys, where, value, field):
+        from cgbound.networks import sample_parameters
+        from cgbound.serialize import parameters_from_json, parameters_to_json
+
+        raw = _small_config()
+        cfg = load_run_config(raw).network
+        payload = parameters_to_json(sample_parameters(cfg, 77))
+        target = payload["blocks"]
+        for i in where[:-1]:
+            target = target[i]
+        target[where[-1]] = value
+        with pytest.raises(ConfigError, match=re.escape(field + ":")):
+            parameters_from_json(payload, cfg)
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        params_path = tmp_path / "theta.json"
+        params_path.write_text(json.dumps(payload))
+        assert main(["solve", "--config", str(cfg_path), "--params", str(params_path)]) == 1
+        assert f"configuration error: {field}:" in capsys.readouterr().err
 
     def test_cli_accepts_explicit_params(self, tmp_path, capsys):
         from cgbound.networks import sample_parameters
