@@ -46,6 +46,20 @@ WHITE_NOISE_QUANTILE = 6.11
 NS_CEILING = 2**53
 
 
+def _check_ns(Ns):
+    try:
+        valid = math.isfinite(Ns) and Ns >= 1 and Ns == int(Ns)
+    except OverflowError:  # an integer beyond float range
+        valid = False
+    if not valid:
+        raise ValueError(f"Ns must be a finite integer >= 1, got {Ns}")
+
+
+def _check_eps_conf(eps_conf):
+    if not (0.0 < eps_conf < 1.0):
+        raise ValueError(f"eps_conf must lie in (0, 1), got {eps_conf}")
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Loss-function constants: Lipschitz coefficient tau and range bound c."""
@@ -145,6 +159,8 @@ class SweepSpec:
     eps_conf: float = 0.05
 
     def __post_init__(self):
+        _check_ns(self.Ns)
+        _check_eps_conf(self.eps_conf)
         if self.axis not in ("n", "kj", "ns"):
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if len(self.values) < 4:
@@ -245,7 +261,7 @@ def ymax_estimate(model, c_max, mode, dataset=None):
 
     ``"noiseless"`` uses ``c_max * ||A||_2``; ``"white_noise"`` adds the
     high-probability noise inflation ``6.11 * sigma``; ``"dataset"`` takes
-    the largest Euclidean norm over the provided measurements.
+    the largest Euclidean norm over the rows of a ``(B, m)`` measurement stack.
     """
     if mode == "noiseless":
         return c_max * model.norm2
@@ -254,7 +270,10 @@ def ymax_estimate(model, c_max, mode, dataset=None):
     if mode == "dataset":
         if dataset is None or len(dataset) == 0:
             raise ValueError("dataset mode requires a nonempty dataset")
-        return float(max(np.linalg.norm(np.asarray(y, dtype=np.float64)) for y in dataset))
+        Y = np.asarray(dataset, dtype=np.float64)
+        if Y.ndim != 2:
+            raise ValueError(f"dataset must be a (B, m) stack of measurements, got shape {Y.shape}")
+        return float(np.sqrt((Y[:, None, :] @ Y[:, :, None])[:, 0, 0]).max())
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -263,22 +282,16 @@ def norm_log_sum(model, y_max):
     return math.log(y_max) + math.log(model.norm2) + math.log(model.norm_inf)
 
 
-def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):
-    """Assemble the three-term generalization bound.
+def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
+    """Ns-free part of the bound: the input checks other than ``Ns``'s, the
+    network constants and the covering-entropy sums.
 
-    term1 is the supplied empirical loss; term2 the complexity block
-    ``8 * tau * c_max / sqrt(Ns)`` times the covering-entropy sum over the
-    covariance ball and every per-step parameter ball; term3 the confidence
-    block ``4 * c * sqrt(2 * ln(4 / eps_conf) / Ns)``.
+    Returns ``(constants, dim_P, alphas, omegas, KJD + 1, sums)``, where
+    ``sums`` holds the covariance, matrix-block and scalar-block entropy sums
+    that term2 scales. ``empirical_loss`` is only checked, in the order
+    :func:`geb_bound` checks its inputs.
     """
-    try:
-        valid_ns = math.isfinite(Ns) and Ns >= 1 and Ns == int(Ns)
-    except OverflowError:  # an integer beyond float range
-        valid_ns = False
-    if not valid_ns:
-        raise ValueError(f"Ns must be a finite integer >= 1, got {Ns}")
-    if not (0.0 < eps_conf < 1.0):
-        raise ValueError("eps_conf must lie in (0, 1)")
+    _check_eps_conf(eps_conf)
     if not (math.isfinite(y_max) and y_max >= 0):
         raise ValueError(f"y_max must be finite and nonnegative, got {y_max}")
     if not math.isfinite(empirical_loss):
@@ -304,19 +317,39 @@ def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):
     is_matrix = alphas > 1.5  # scalar blocks have dimension 1
     term2_weights = float(block_sums[is_matrix].sum())
     term2_scalars = float(block_sums[~is_matrix].sum())
+    return cns, dim_p, alphas, omegas, kjd1, (term2_cov, term2_weights, term2_scalars)
 
-    scale = 8.0 * loss.tau * c_max / math.sqrt(Ns)
-    term2 = scale * (term2_cov + term2_weights + term2_scalars)
+
+def _ns_terms(config, loss, sums, Ns, eps_conf):
+    """The 1/sqrt(Ns) scale of the entropy sums, term2 and term3 at ``Ns``."""
+    scale = 8.0 * loss.tau * config.bounds.c_max / math.sqrt(Ns)
+    term2 = scale * (sums[0] + sums[1] + sums[2])
     term3 = 4.0 * loss.c * math.sqrt(2.0 * math.log(4.0 / eps_conf) / Ns)
+    return scale, term2, term3
+
+
+def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):
+    """Assemble the three-term generalization bound.
+
+    term1 is the supplied empirical loss; term2 the complexity block
+    ``8 * tau * c_max / sqrt(Ns)`` times the covering-entropy sum over the
+    covariance ball and every per-step parameter ball; term3 the confidence
+    block ``4 * c * sqrt(2 * ln(4 / eps_conf) / Ns)``. The network constants
+    and the entropy sum do not depend on ``Ns``; only the two scale factors do.
+    """
+    _check_ns(Ns)
+    cns, dim_p, alphas, omegas, kjd1, sums = _entropy(
+        config, model, eps_conf, y_max, empirical_loss)
+    scale, term2, term3 = _ns_terms(config, loss, sums, Ns, eps_conf)
 
     return BoundReport(
         term1=float(empirical_loss),
         term2=float(term2),
         term3=float(term3),
         total=float(empirical_loss + term2 + term3),
-        term2_cov=float(scale * term2_cov),
-        term2_weights=float(scale * term2_weights),
-        term2_scalars=float(scale * term2_scalars),
+        term2_cov=float(scale * sums[0]),
+        term2_weights=float(scale * sums[1]),
+        term2_scalars=float(scale * sums[2]),
         constants=cns,
         inputs={
             "Ns": int(Ns),
@@ -422,16 +455,21 @@ def cor2_comparator(n, m, network_size, Ns):
 def sample_complexity(config, model, loss, gap, eps_conf, y_max):
     """Smallest sample count whose complexity-plus-confidence block is <= gap.
 
-    Both terms of the block scale as 1/sqrt(Ns), so the block is its value
-    at one sample over sqrt(Ns) and the answer is ``ceil((block(1)/gap)^2)``.
-    A few integer steps against the block itself settle the rounding.
+    The network constants and the covering-entropy sum of term2 do not
+    depend on Ns, so they are assembled once per call; ``block(ns)`` applies
+    only the Ns-dependent factors, by the expressions :func:`geb_bound` uses,
+    and equals its ``term2 + term3`` bitwise. Both terms scale as
+    1/sqrt(Ns), so the block is its value at one sample over sqrt(Ns) and
+    the answer is ``ceil((block(1)/gap)^2)``. A few integer steps against
+    the block itself settle the rounding.
     """
     if not gap > 0:
         raise ValueError(f"gap must be positive, got {gap}")
+    sums = _entropy(config, model, eps_conf, y_max)[-1]
 
     def block(ns):
-        rep = geb_bound(config, model, loss, ns, eps_conf, y_max)
-        return rep.term2 + rep.term3
+        _, term2, term3 = _ns_terms(config, loss, sums, ns, eps_conf)
+        return term2 + term3
 
     b1 = block(1)
     if b1 <= gap:

@@ -21,7 +21,16 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bounds import LossSpec, SweepSpec, geb_bound, scaling_fit, sweep_bound, ymax_estimate
+from .bounds import (
+    LossSpec,
+    SweepSpec,
+    _check_eps_conf,
+    _check_ns,
+    geb_bound,
+    scaling_fit,
+    sweep_bound,
+    ymax_estimate,
+)
 from .datagen import CgDataSpec, empirical_gap, generate_cg_dataset
 from .model import MeasurementModel, SignalBounds, SpdMatrix
 from .networks import NetworkConfig, sample_parameters
@@ -76,8 +85,16 @@ def scaling_study_specs(sweep_section):
     network-size study uses the learned-regularizer variant on a fixed
     small model; the sample-count study reuses it.
     """
-    Ns = int(sweep_section.get("Ns", 10000))
-    eps = float(sweep_section.get("eps_conf", 0.05))
+    def checked(key, default, check):
+        value = sweep_section.get(key, default)
+        try:
+            check(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep.{key}: {exc}") from None
+        return value
+
+    Ns = int(checked("Ns", 10000, _check_ns))
+    eps = float(checked("eps_conf", 0.05, _check_eps_conf))
 
     def spec(axis, key, default):
         try:

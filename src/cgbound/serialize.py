@@ -62,8 +62,17 @@ def array_to_json(a):
 def array_from_json(obj, path="array"):
     if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
         raise ConfigError(f"{path}: expected an object with 'shape' and 'data'")
-    shape = tuple(int(s) for s in obj["shape"])
-    data = np.asarray(obj["data"], dtype=np.float64)
+    shape = obj["shape"]
+    if not (isinstance(shape, list)
+            and all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape)):
+        raise ConfigError(f"{path}.shape: expected a list of nonnegative integers, got {shape!r}")
+    shape = tuple(shape)
+    try:
+        data = np.asarray(obj["data"], dtype=np.float64)
+        if not np.isfinite(data).all():
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.data: expected a list of finite numbers") from None
     if data.size != int(np.prod(shape)):
         raise ConfigError(f"{path}: data length {data.size} does not match shape {shape}")
     return data.reshape(shape)

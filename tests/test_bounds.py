@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cgbound import bounds
 from cgbound.bounds import (
     LossSpec,
     SweepSpec,
@@ -121,9 +122,26 @@ class TestYmax:
     def test_dataset_mode(self):
         assert ymax_estimate(self.MODEL, 1.0, "dataset", dataset=[np.array([3.0, 4.0])]) == 5.0
 
+    def test_dataset_mode_equals_row_norms(self):
+        rng = np.random.default_rng(SEED_GEB)
+        for _ in range(300):
+            B, m = rng.integers(1, 201), rng.integers(1, 41)
+            Y = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal((B, m))
+            got = ymax_estimate(self.MODEL, 1.0, "dataset", dataset=Y)
+            assert got == max(np.linalg.norm(y) for y in Y)
+
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             ymax_estimate(self.MODEL, 1.0, "dataset", dataset=[])
+        with pytest.raises(ValueError, match="stack"):
+            ymax_estimate(self.MODEL, 1.0, "dataset", dataset=np.array([3.0, 4.0]))
+
+
+def _cg_config(n=4, K=1, J=1):
+    return NetworkConfig(
+        variant="cgnet", n=n, K=K, J=J, bounds=SignalBounds.default(),
+        p_min=0.5, p_max=2.0, mu_bound=1.0,
+    )
 
 
 def _dr_config(n=4, K=1, J=1):
@@ -217,6 +235,18 @@ class TestGebBound:
         with pytest.raises(ValueError, match=name):
             geb_bound(_dr_config(), model, LossSpec.mae(4, 1.0), **args)
 
+    def test_checks_inputs_in_order(self):
+        # Ns, eps_conf, y_max, empirical_loss, then the config/model match
+        model = MeasurementModel(FROZEN_A[:, :3])
+        good = {"Ns": 100, "eps_conf": 0.05, "y_max": 1.0, "empirical_loss": 0.0}
+        args = {"Ns": 0, "eps_conf": 2.0, "y_max": math.nan, "empirical_loss": math.nan}
+        for name in good:
+            with pytest.raises(ValueError, match=name):
+                geb_bound(_dr_config(), model, LossSpec.mae(4, 1.0), **args)
+            args[name] = good[name]
+        with pytest.raises(ValueError, match="disagree"):
+            geb_bound(_dr_config(), model, LossSpec.mae(4, 1.0), **args)
+
     def test_accepts_integral_float_sample_count(self):
         model = MeasurementModel(FROZEN_A)
         loss = LossSpec.mae(4, 1.0)
@@ -305,6 +335,9 @@ class TestScaling:
             SweepSpec(axis="ns", values=(10, 1000))
         with pytest.raises(ValueError):
             SweepSpec(axis="depth", values=(1, 10, 100, 1000))
+        for name, value in (("Ns", 0), ("Ns", 2.5), ("eps_conf", 0.0), ("eps_conf", 1.0)):
+            with pytest.raises(ValueError, match=name):
+                SweepSpec(axis="ns", values=(10, 100, 1000, 10000), **{name: value})
 
     def test_r_diagnostic_present(self):
         studies = scaling_study_specs({})
@@ -365,3 +398,42 @@ class TestSampleComplexity:
         for gap in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="gap"):
                 sample_complexity(_dr_config(), self.MODEL, self.LOSS, gap, 0.05, 2.0)
+
+    def test_assembles_constants_once(self, monkeypatch):
+        gap = self._block(1) / 30.0
+        calls = {"network_constants": 0, "geb_bound": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(bounds, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(bounds, name, counted)
+        assert sample_complexity(_dr_config(), self.MODEL, self.LOSS, gap, 0.05, 2.0) > 1
+        assert calls == {"network_constants": 1, "geb_bound": 0}
+
+    @pytest.mark.parametrize("make_config", [_cg_config, _dr_config], ids=["cgnet", "drcgnet"])
+    @pytest.mark.parametrize("n, m, K, J", [(2, 1, 1, 1), (4, 2, 2, 1), (4, 4, 1, 2), (8, 3, 2, 2)])
+    def test_matches_reference_walk(self, make_config, n, m, K, J):
+        config = make_config(n=n, K=K, J=J)
+        rng = np.random.default_rng((SEED_GEB, n, m, K, J))
+        model = MeasurementModel(rng.standard_normal((m, n)))
+        loss = LossSpec.mae(n, 1.0)
+        y_max = ymax_estimate(model, 1.0, "noiseless")
+
+        def block(ns):
+            rep = geb_bound(config, model, loss, ns, 0.05, y_max)
+            return rep.term2 + rep.term3
+
+        for target, share in ((37, 1.0), (120, 1.0 + 1e-3), (240, 1.0 - 1e-3)):
+            gap = block(target) * share
+            walk = 1
+            while block(walk) > gap:
+                walk += 1
+            assert sample_complexity(config, model, loss, gap, 0.05, y_max) == walk
+
+    @pytest.mark.parametrize("eps_conf, y_max, n, match", [
+        (1.5, 2.0, 4, "eps_conf"), (0.05, math.nan, 4, "y_max"), (0.05, 2.0, 3, "disagree"),
+    ], ids=["eps_conf", "nan_y_max", "mismatched_n"])
+    def test_rejects_bad_inputs(self, eps_conf, y_max, n, match):
+        model = MeasurementModel(FROZEN_A[:, :n])
+        with pytest.raises(ValueError, match=match):
+            sample_complexity(_dr_config(), model, self.LOSS, 0.5, eps_conf, y_max)

@@ -71,6 +71,20 @@ class TestArraySchema:
         with pytest.raises(ConfigError, match="model.matrix"):
             array_from_json({"shape": [2, 2], "data": [1.0]}, "model.matrix")
 
+    @pytest.mark.parametrize("obj, field", [
+        ({"shape": None, "data": [1, 2, 3, 4]}, "y.shape"),
+        ({"shape": ["a"], "data": [1]}, "y.shape"),
+        ({"shape": [2], "data": ["a", "b"]}, "y.data"),
+        ({"shape": [2], "data": [None, 1.0]}, "y.data"),
+    ], ids=["null_shape", "text_shape", "text_data", "null_data"])
+    def test_malformed_array_names_its_field(self, tmp_path, capsys, obj, field):
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}:"):
+            array_from_json(obj, "y")
+        y_path = tmp_path / "bad.json"
+        y_path.write_text(json.dumps(obj))
+        assert main(["solve", "--config", "default", "--y", str(y_path)]) == 1
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+
     def test_canonical_dump_is_stable(self):
         payload = {"b": 1.5, "a": [1, 2]}
         assert dumps_canonical(payload) == dumps_canonical(json.loads(dumps_canonical(payload)))
@@ -148,7 +162,14 @@ class TestRunConfig:
         ("gap.suite_size", 0),
         ("sweep.ns_values", [100, 1000]),
         ("seed", None),
-    ], ids=["gap_Ns", "gap_test_draws", "gap_suite_size", "two_ns_values", "null_seed"])
+        ("sweep.Ns", 0),
+        ("sweep.Ns", 2.5),
+        ("sweep.Ns", "many"),
+        ("sweep.eps_conf", 1.5),
+        ("sweep.eps_conf", "five percent"),
+    ], ids=["gap_Ns", "gap_test_draws", "gap_suite_size", "two_ns_values", "null_seed",
+            "sweep_Ns", "sweep_Ns_fraction", "sweep_Ns_text", "sweep_eps_conf",
+            "sweep_eps_conf_text"])
     def test_report_rejects_before_any_suite(self, tmp_path, capsys, field, value):
         cfg = _small_config()
         *section, key = field.split(".")
