@@ -12,6 +12,10 @@ result has the same leading shape. A mat-vec is written ``(M @ x[..., None])
 hands each row to the same BLAS routine (gemv, dot, gesv) as a 1-D call and
 every row of a batch is bitwise equal to the 1-D result. ``einsum`` would
 not be: its own summation differs from ``np.dot`` in the last bit.
+
+The parameters of a stack may differ per row: ``P``, ``P_inv`` and ``B``
+are then ``(B, n, n)`` stacks and ``mu`` and ``delta`` ``(B,)`` arrays,
+and each row still equals the 1-D call with its own parameters.
 """
 
 import numpy as np
@@ -63,13 +67,19 @@ def _datafit_grad(A, u, z, y):
 
 def _cgnet_step(z, u, y, A, B, mu, a, b, xi):
     g = _datafit_grad(A, u, z, y)
-    if mu != 0.0:
-        g = g + mu * (np.log(z) / z)
+    mu = np.asarray(mu)
+    on = mu != 0.0
+    if on.all():
+        g = g + mu[..., None] * (np.log(z) / z)
+    elif on.any():
+        # the log term only where mu is nonzero, as in the 1-D call
+        g = g.copy()
+        g[on] += mu[on, None] * (np.log(z[on]) / z[on])
     return _mrelu(z - _matvec(B, _ball_project(g, xi)), a, b)
 
 
 def _drcgnet_vstep(z, u, y, A, delta, xi):
-    return z - delta * _ball_project(_datafit_grad(A, u, z, y), xi)
+    return z - np.asarray(delta)[..., None] * _ball_project(_datafit_grad(A, u, z, y), xi)
 
 
 kernels = {

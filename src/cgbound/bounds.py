@@ -51,7 +51,7 @@ def _check_ns(Ns):
         valid = math.isfinite(Ns) and Ns >= 1 and Ns == int(Ns)
     except OverflowError:  # an integer beyond float range
         valid = False
-    if not valid:
+    if not valid or isinstance(Ns, (bool, np.bool_)):  # a bool passes as an int
         raise ValueError(f"Ns must be a finite integer >= 1, got {Ns}")
 
 
@@ -421,7 +421,11 @@ def scaling_fit(config, model, loss, spec):
     every block grows alike, so the fit uses the full term divided by the
     constant ``sqrt(ln m + ln n)``. Along ``ns`` the raw term is fitted.
     """
-    rows = sweep_bound(config, model, loss, spec)
+    return _fit_rows(config, model, spec, sweep_bound(config, model, loss, spec))
+
+
+def _fit_rows(config, model, spec, rows):
+    """``scaling_fit`` of the rows ``sweep_bound`` returned for ``spec``."""
     xs = [v for v, _, _ in rows]
     if spec.axis == "n":
         ys = [rep.term2_weights / math.sqrt(math.log(v)) for v, rep, _ in rows]

@@ -8,8 +8,8 @@ Measurements follow the linear model with optional white noise.
 ``empirical_gap`` freezes one network hypothesis, measures its training
 loss on a generated dataset and its population loss by fresh Monte Carlo
 draws, and compares the absolute difference against the assembled bound.
-Each dataset goes through the network as one stacked forward pass, and
-``mae_loss`` scores all of its rows at once.
+The training and test rows go through the network as one stacked forward
+pass, and ``mae_loss`` scores all of them at once.
 """
 
 import math
@@ -131,10 +131,6 @@ class GapReport:
         }
 
 
-def _mean_loss(theta, config, model, dataset):
-    return mae_loss(forward(dataset.Y, theta, config, model).output, dataset.C)
-
-
 def empirical_gap(theta, config, loss, train_spec, test_draws, seed):
     """Gap between Monte-Carlo population loss and training loss.
 
@@ -153,8 +149,6 @@ def empirical_gap(theta, config, loss, train_spec, test_draws, seed):
         raise ValueError("test_draws must be >= 1")
     model = train_spec.model
     train = generate_cg_dataset(train_spec)
-    train_losses = _mean_loss(theta, config, model, train)
-
     test_spec = CgDataSpec(
         model=model,
         sigma_u=train_spec.sigma_u,
@@ -163,7 +157,9 @@ def empirical_gap(theta, config, loss, train_spec, test_draws, seed):
         seed=seed,
     )
     test = generate_cg_dataset(test_spec)
-    test_losses = _mean_loss(theta, config, model, test)
+    out = forward(np.concatenate([train.Y, test.Y]), theta, config, model).output
+    losses = mae_loss(out, np.concatenate([train.C, test.C]))
+    train_losses, test_losses = losses[: len(train)], losses[len(train):]
 
     y_max = ymax_estimate(model, train_spec.bounds.c_max, "dataset", dataset=train.Y)
     report = geb_bound(config, model, loss, train_spec.Ns, 0.05, y_max)

@@ -62,9 +62,14 @@ def _as_rows(x, n, name):
 
 
 def spectral_norm(M):
-    """Largest singular value of a dense matrix (exact via full SVD)."""
+    """Largest singular value of a dense matrix (exact via full SVD).
+
+    A ``(..., r, c)`` stack gives an array of the norms of its matrices,
+    each bitwise equal to the norm of that matrix alone.
+    """
     M = np.atleast_2d(np.asarray(M, dtype=np.float64))
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    sigma = np.linalg.svd(M, compute_uv=False)[..., 0]
+    return float(sigma) if M.ndim == 2 else sigma
 
 
 def operator_inf_norm(M):
@@ -281,6 +286,21 @@ def _check_finite_rows(x, error, what):
         raise error(f"{what} non-finite values{where}")
 
 
+class _SpdStack(tuple):
+    """A tuple of same-size ``SpdMatrix`` with ``P`` and ``P_inv`` stacked once."""
+
+    def __new__(cls, mats):
+        self = super().__new__(cls, mats)
+        if not self or not all(isinstance(p, SpdMatrix) for p in self):
+            raise TypeError("P must be an SpdMatrix or a nonempty tuple of them")
+        if len({p.n for p in self}) != 1:
+            raise ValueError("a stack of P must hold matrices of one size")
+        self.P = np.array([p.P for p in self])
+        self.P_inv = np.array([p.P_inv for p in self])
+        self.n = self[0].n
+        return self
+
+
 def tikhonov_solve(model, z, y, P):
     """Regularized least-squares estimate ``(A_z^T A_z + P^-1)^-1 A_z^T y``.
 
@@ -290,13 +310,18 @@ def tikhonov_solve(model, z, y, P):
 
     ``z`` and ``y`` are one vector each, or ``(B, n)`` and ``(B, m)`` stacks
     solved row by row into a ``(B, n)`` result; each row is bitwise equal to
-    the solve of that row alone. A non-finite result raises
-    ``NumericalFailure``, naming the first failing row of a stack.
+    the solve of that row alone. ``P`` is one ``SpdMatrix`` for every row,
+    or a tuple of B of them, one per row of the stacks. A non-finite result
+    raises ``NumericalFailure``, naming the first failing row of a stack.
     """
     z = _as_rows(z, model.n, "z")
     y = _as_rows(y, model.m, "y")
     if z.shape[:-1] != y.shape[:-1]:
         raise ValueError(f"z and y must stack the same rows, got shapes {z.shape} and {y.shape}")
+    if not isinstance(P, SpdMatrix):
+        P = P if isinstance(P, _SpdStack) else _SpdStack(P)
+        if z.shape[:-1] != (len(P),):
+            raise ValueError(f"a tuple of {len(P)} P needs ({len(P)}, n) rows, got shape {z.shape}")
     if P.n != model.n:
         raise ValueError(f"P must be {model.n} x {model.n}, got {P.n}")
     if model.m < model.n:

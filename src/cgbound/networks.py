@@ -17,7 +17,9 @@ The forward pass, the scale steps and the subnetwork take one measurement
 vector or a stack of them along a leading batch axis (``y`` of shape
 ``(m,)`` or ``(B, m)``), and every iterate carries the same leading shape.
 A stack runs as one pass, and each of its rows is bitwise equal to the
-forward pass of that row alone.
+forward pass of that row alone. ``forward`` also takes a tuple of parameter
+sets for one measurement; they run as one pass along the same leading axis,
+with every parameter stacked once per call.
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ from .model import (
     SignalBounds,
     SpdMatrix,
     _as_rows,
+    _SpdStack,
     _check_finite_rows,
     ball_project,
     mrelu,
@@ -155,7 +158,7 @@ class ParameterSet:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """All iterates of one unrolled forward pass, each ``(n,)`` or ``(B, n)``."""
+    """All iterates of one unrolled forward pass, each ``(n,)``, ``(B, n)`` or ``(T, n)``."""
 
     z0: np.ndarray
     z: tuple  # z[k][j], k = 0..K-1, j = 0..J-1
@@ -185,31 +188,34 @@ def cgnet_scale_step(z, u, y, model, B, mu, bounds):
     """One projected steepest-descent scale update.
 
     Clips the gradient to the xi-ball, applies the learned matrix B, and
-    clamps the result to [a, b] componentwise.
+    clamps the result to [a, b] componentwise. For a ``(T, n)`` stack, B
+    may be a ``(T, n, n)`` stack and mu a ``(T,)`` array, one per row.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     u = np.ascontiguousarray(u, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     B = np.ascontiguousarray(B, dtype=np.float64)
-    if mu != 0.0 and np.any(z <= 0.0):
+    mu = _per_row(mu, z, "mu")
+    if np.any((mu != 0.0)[..., None] & (z <= 0.0)):
         raise ValueError("cgnet scale step with mu != 0 requires strictly positive z")
     return kernels["cgnet_step"](
-        z, u, y, model.A, B, float(mu), bounds.a, bounds.b, bounds.xi
+        z, u, y, model.A, B, mu, bounds.a, bounds.b, bounds.xi
     )
 
 
 def subnet_forward(weights, z):
     """Dense feed-forward chain with ReLU between layers, linear last layer.
 
-    ``z`` is one input vector or a stack of them along a leading axis.
+    ``z`` is one input vector or a stack of them along a leading axis. A
+    weight may be a matching stack of matrices, one per row.
     """
     x = np.ascontiguousarray(z, dtype=np.float64)
     last = len(weights) - 1
     for i, W in enumerate(weights):
         W = np.asarray(W, dtype=np.float64)
-        if W.shape[1] != x.shape[-1]:
+        if W.shape[-1] != x.shape[-1]:
             raise ValueError(
-                f"layer {i + 1} expects input of length {W.shape[1]}, got {x.shape[-1]}"
+                f"layer {i + 1} expects input of length {W.shape[-1]}, got {x.shape[-1]}"
             )
         x = (W @ x[..., None])[..., 0]
         if i != last:
@@ -221,13 +227,24 @@ def drcgnet_scale_step(z, u, y, model, delta, weights, bounds):
     """One projected-gradient scale update with learned correction.
 
     Data-fidelity descent ``z - delta * clip(A_u^T(A_u z - y))`` plus the
-    subnetwork output; the caller applies the [0, z_inf] clamp.
+    subnetwork output; the caller applies the [0, z_inf] clamp. For a
+    ``(T, n)`` stack, delta may be a ``(T,)`` array and each weight a
+    ``(T, r, c)`` stack, one per row.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     u = np.ascontiguousarray(u, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    v = kernels["drcgnet_vstep"](z, u, y, model.A, float(delta), bounds.xi)
+    delta = _per_row(delta, z, "delta")
+    v = kernels["drcgnet_vstep"](z, u, y, model.A, delta, bounds.xi)
     return v + subnet_forward(weights, z)
+
+
+def _per_row(c, z, name):
+    """A scalar step coefficient, or a ``(T,)`` array of them for ``(T, n)`` rows."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim and c.shape != z.shape[:-1]:
+        raise ValueError(f"{name} of shape {c.shape} does not match rows of shape {z.shape}")
+    return c
 
 
 def _initial_scale(y, model, config):
@@ -245,12 +262,23 @@ def _scale_update(z, u, y, model, theta_kj, config):
     b = config.bounds
     if config.variant == "cgnet":
         B, mu = theta_kj
-        out = cgnet_scale_step(z, u, y, model, B, float(mu), b)
+        out = cgnet_scale_step(z, u, y, model, B, mu, b)
     else:
         weights = theta_kj[: config.Lc]
-        delta = float(theta_kj[config.Lc])
-        out = drcgnet_scale_step(z, u, y, model, delta, weights, b)
+        out = drcgnet_scale_step(z, u, y, model, theta_kj[config.Lc], weights, b)
     return mrelu(out, 0.0, b.z_inf)
+
+
+def _stack_blocks(thetas):
+    """The blocks of T parameter sets, every entry stacked along a leading axis:
+    matrix blocks become ``(T, r, c)`` stacks, scalar blocks ``(T,)`` arrays."""
+    return tuple(
+        tuple(
+            tuple(np.array(xs, dtype=np.float64) for xs in zip(*kjs, strict=True))
+            for kjs in zip(*rows, strict=True)
+        )
+        for rows in zip(*(t.blocks for t in thetas), strict=True)
+    )
 
 
 def forward(y, theta, config, model):
@@ -263,7 +291,9 @@ def forward(y, theta, config, model):
     ``y`` is one measurement of shape ``(m,)`` or a ``(B, m)`` stack of
     them; every field of the trace then has shape ``(n,)`` or ``(B, n)``,
     and row ``i`` of each equals the trace of ``forward(y[i], ...)``
-    bitwise.
+    bitwise. ``theta`` is one ``ParameterSet``, or a tuple of T of them for
+    one measurement ``y``: every field then has shape ``(T, n)``, and row
+    ``t`` equals the trace of ``forward(y, theta[t], ...)`` bitwise.
 
     A non-finite ``y`` raises ``ValueError`` naming its first bad row. An
     overflow in the layers leaves an inf or NaN that the next solve reports
@@ -273,19 +303,29 @@ def forward(y, theta, config, model):
     _check_finite_rows(y, ValueError, "y has")
     if config.n != model.n:
         raise ValueError("config.n and model.n disagree")
+    if isinstance(theta, ParameterSet):
+        P, blocks = theta.P, theta.blocks
+    else:
+        theta = tuple(theta)
+        if not theta or not all(isinstance(t, ParameterSet) for t in theta):
+            raise TypeError("theta must be a ParameterSet or a nonempty tuple of them")
+        if y.ndim != 1:
+            raise ValueError(f"a tuple of parameter sets takes one y of shape ({model.m},)")
+        P, blocks = _SpdStack(t.P for t in theta), _stack_blocks(theta)
+        y = np.array([y] * len(theta))
     with np.errstate(over="ignore", invalid="ignore"):
         z = _initial_scale(y, model, config)
         z0 = z
-        u = tikhonov_solve(model, z, y, theta.P)
+        u = tikhonov_solve(model, z, y, P)
         us = [u]
         zs = []
         for k in range(config.K):
             zk = []
             for j in range(config.J):
-                z = _scale_update(z, u, y, model, theta.blocks[k][j], config)
+                z = _scale_update(z, u, y, model, blocks[k][j], config)
                 zk.append(z)
             zs.append(tuple(zk))
-            u = tikhonov_solve(model, z, y, theta.P)
+            u = tikhonov_solve(model, z, y, P)
             us.append(u)
         output = ball_project(z * u, config.bounds.c_max)
     return ForwardTrace(z0=z0, z=tuple(zs), u=tuple(us), output=output)
@@ -294,13 +334,6 @@ def forward(y, theta, config, model):
 # ---------------------------------------------------------------------------
 # sampling inside the admissible parameter balls
 # ---------------------------------------------------------------------------
-
-def _sample_spd(rng, n, target_norm):
-    """Random SPD matrix rescaled to the requested spectral norm."""
-    G = rng.standard_normal((n, n))
-    S = G @ G.T + 1e-3 * np.eye(n)
-    return S * (target_norm / np.linalg.eigvalsh(S)[-1])
-
 
 def sample_covariance(structure, n, p_min, p_max, rng):
     """Random SPD matrix of the given structure with spectrum in [p_min, p_max].
@@ -338,26 +371,41 @@ def sample_covariance(structure, n, p_min, p_max, rng):
 
 
 def _sample_blocks(config, rng):
-    blocks = []
-    for _ in range(config.K):
-        row = []
-        for _ in range(config.J):
-            if config.variant == "cgnet":
-                B = _sample_spd(rng, config.n, config.p_max * rng.uniform(0.0, 1.0))
-                mu = rng.uniform(-config.mu_bound, config.mu_bound)
-                row.append((B, mu))
-            else:
-                ws = []
-                for ell in range(1, config.Lc + 1):
-                    shape = config.weight_shape(ell)
-                    W = rng.standard_normal(shape)
-                    nrm = spectral_norm(W)
-                    target = config.weight_bounds[ell - 1] * rng.uniform(0.0, 1.0)
-                    ws.append(W * (target / nrm) if nrm > 0 else W)
-                delta = rng.uniform(-config.delta, config.delta)
-                row.append(tuple(ws) + (delta,))
-        blocks.append(tuple(row))
-    return tuple(blocks)
+    """Blocks inside their balls: Gaussian directions, uniform radius factors.
+
+    Every draw is made first, in block order; then one stacked ``eigvalsh``
+    (cgnet) or one stacked SVD per weight layer (drcgnet) sets the norms of
+    all K*J steps, and one broadcast product rescales them.
+    """
+    kj = config.K * config.J
+    if config.variant == "cgnet":
+        n = config.n
+        radii, mats, mus = np.empty(kj), [], []
+        for i in range(kj):
+            radii[i] = config.p_max * rng.random()
+            G = rng.standard_normal((n, n))
+            mats.append(G @ G.T + 1e-3 * np.eye(n))
+            mus.append(rng.uniform(-config.mu_bound, config.mu_bound))
+        S = np.array(mats)
+        B = S * (radii / np.linalg.eigvalsh(S)[:, -1])[:, None, None]
+        steps = [(B[i], mus[i]) for i in range(kj)]
+    else:
+        Lc = config.Lc
+        mats, radii, deltas = [[] for _ in range(Lc)], np.empty((Lc, kj)), []
+        for i in range(kj):
+            for ell in range(Lc):
+                mats[ell].append(rng.standard_normal(config.weight_shape(ell + 1)))
+                radii[ell, i] = config.weight_bounds[ell] * rng.random()
+            deltas.append(rng.uniform(-config.delta, config.delta))
+        ws = []
+        for ell in range(Lc):
+            W = np.array(mats[ell])
+            nrm = spectral_norm(W)
+            scale = np.divide(radii[ell], nrm, out=np.ones(kj), where=nrm > 0)
+            ws.append(W * scale[:, None, None])
+        steps = [tuple(W[i] for W in ws) + (deltas[i],) for i in range(kj)]
+    J = config.J
+    return tuple(tuple(steps[k * J:(k + 1) * J]) for k in range(config.K))
 
 
 def sample_parameters(config, seed):
@@ -374,29 +422,42 @@ def sample_parameters(config, seed):
     return ParameterSet(P=P, blocks=_sample_blocks(config, rng))
 
 
+def _block_norms(blocks, config):
+    """``(K, J, D)`` norms of a block grid: spectral for matrices, one stacked
+    SVD per block index d, and absolute value for scalars."""
+    norms = np.empty((config.K, config.J, config.D))
+    for d in range(config.D):
+        xs = np.array([kj[d] for row in blocks for kj in row], dtype=np.float64)
+        nrm = np.abs(xs) if xs.ndim == 1 else spectral_norm(xs)
+        norms[..., d] = nrm.reshape(config.K, config.J)
+    return norms
+
+
 def validate_parameters(theta, config, tol=1e-9):
     """Check every block against its ball constraint; raise on violation."""
     if theta.P.p_max > config.p_max * (1 + tol) or theta.P.p_min < config.p_min * (1 - tol):
         raise ValueError("covariance spectrum leaves [p_min, p_max]")
-    if len(theta.blocks) != config.K or any(len(row) != config.J for row in theta.blocks):
-        raise ValueError("parameter blocks do not match (K, J)")
+    if len(theta.blocks) != config.K or any(
+        len(row) != config.J or any(len(kj) != config.D for kj in row) for row in theta.blocks
+    ):
+        raise ValueError("parameter blocks do not match (K, J, D)")
+    if config.variant == "cgnet":
+        names = ("B", "mu")
+        shapes = ((config.n, config.n), ())
+        radii = (config.p_max, config.mu_bound)
+    else:
+        names = tuple(f"weight {ell}" for ell in range(1, config.Lc + 1)) + ("delta",)
+        shapes = tuple(config.weight_shape(ell) for ell in range(1, config.Lc + 1)) + ((),)
+        radii = config.weight_bounds + (config.delta,)
     for k, row in enumerate(theta.blocks, start=1):
         for j, kj in enumerate(row, start=1):
-            if config.variant == "cgnet":
-                B, mu = kj
-                if spectral_norm(B) > config.p_max * (1 + tol):
-                    raise ValueError(f"B at layer {k} step {j} leaves its spectral ball")
-                if abs(mu) > config.mu_bound * (1 + tol):
-                    raise ValueError(f"mu at layer {k} step {j} leaves [-mu, mu]")
-            else:
-                for ell in range(1, config.Lc + 1):
-                    W = kj[ell - 1]
-                    if W.shape != config.weight_shape(ell):
-                        raise ValueError(f"weight {ell} at layer {k} step {j} has wrong shape")
-                    if spectral_norm(W) > config.weight_bounds[ell - 1] * (1 + tol):
-                        raise ValueError(f"weight {ell} at layer {k} step {j} leaves its ball")
-                if abs(kj[config.Lc]) > config.delta * (1 + tol):
-                    raise ValueError(f"delta at layer {k} step {j} leaves [-delta, delta]")
+            for name, shape, x in zip(names, shapes, kj):
+                if np.shape(x) != shape:
+                    raise ValueError(f"{name} at layer {k} step {j} has wrong shape")
+    norms = _block_norms(theta.blocks, config)
+    for k, j, d in np.ndindex(norms.shape):
+        if norms[k, j, d] > radii[d] * (1 + tol):
+            raise ValueError(f"{names[d]} at layer {k + 1} step {j + 1} leaves its ball")
 
 
 def parameter_distance(t1, t2, config):
@@ -407,14 +468,10 @@ def parameter_distance(t1, t2, config):
     (1-based indices).
     """
     p_dist = spectral_norm(t1.P.P - t2.P.P)
-    dist = {}
-    for k in range(config.K):
-        for j in range(config.J):
-            b1, b2 = t1.blocks[k][j], t2.blocks[k][j]
-            for d in range(config.D):
-                x1, x2 = b1[d], b2[d]
-                if np.ndim(x1) == 0:
-                    dist[(k + 1, j + 1, d + 1)] = abs(float(x1) - float(x2))
-                else:
-                    dist[(k + 1, j + 1, d + 1)] = spectral_norm(np.asarray(x1) - np.asarray(x2))
+    diffs = [
+        [[np.subtract(x1, x2) for x1, x2 in zip(b1, b2)] for b1, b2 in zip(r1, r2)]
+        for r1, r2 in zip(t1.blocks, t2.blocks)
+    ]
+    norms = _block_norms(diffs, config)
+    dist = {(k + 1, j + 1, d + 1): float(norms[k, j, d]) for k, j, d in np.ndindex(norms.shape)}
     return p_dist, dist

@@ -26,8 +26,8 @@ from .bounds import (
     SweepSpec,
     _check_eps_conf,
     _check_ns,
+    _fit_rows,
     geb_bound,
-    scaling_fit,
     sweep_bound,
     ymax_estimate,
 )
@@ -146,10 +146,15 @@ def scaling_study_specs(sweep_section):
 
 def sweep_csv(config, model, loss, spec):
     """Fixed-column CSV (axis, term2, term3, total) for one sweep."""
+    return _csv_rows(sweep_bound(config, model, loss, spec))
+
+
+def _csv_rows(rows):
+    """``sweep_csv`` of the rows ``sweep_bound`` returned."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["axis", "term2", "term3", "total"])
-    for v, rep, _ in sweep_bound(config, model, loss, spec):
+    for v, rep, _ in rows:
         writer.writerow([repr(v), repr(rep.term2), repr(rep.term3), repr(rep.total)])
     return buf.getvalue()
 
@@ -234,12 +239,13 @@ def run_report(run_config, outdir):
             failures.append(f"verify:{target}")
     _write(outdir, "verify.json", dumps_canonical(verify_payload))
 
-    # scaling studies
+    # scaling studies: one sweep per axis feeds both its CSV and its fit
     if studies:
         fits = {}
         for axis, (cfg, mdl, spec, loss) in studies.items():
-            _write(outdir, f"sweep_{axis}.csv", sweep_csv(cfg, mdl, loss, spec))
-            fit = asdict(scaling_fit(cfg, mdl, loss, spec))
+            rows = sweep_bound(cfg, mdl, loss, spec)
+            _write(outdir, f"sweep_{axis}.csv", _csv_rows(rows))
+            fit = asdict(_fit_rows(cfg, mdl, spec, rows))
             fits[axis] = {k: v for k, v in fit.items() if k != "axis"}
         _write(outdir, "scaling.json", dumps_canonical(fits))
 

@@ -162,6 +162,8 @@ def _get(sec, key, path, cast=None, required=True, default=None):
         return default
     value = sec[key]
     if cast is not None:
+        if cast in (int, float) and isinstance(value, bool):
+            raise ConfigError(f"{name}: expected a number, got {json.dumps(value)}")
         try:
             return cast(value)
         except (TypeError, ValueError) as exc:

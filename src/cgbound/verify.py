@@ -48,6 +48,7 @@ from .networks import (
     ParameterSet,
     _sample_blocks,
     _scale_update,
+    _stack_blocks,
     forward,
     parameter_distance,
     sample_covariance,
@@ -210,8 +211,7 @@ def _trial_reg_inverse_diff(rng, dims):
     P = _sample_P(rng, model.n, dims)
     Pt = _sample_P(rng, model.n, dims)
     A1, A2 = model.A * z1, model.A * z2
-    M1 = np.linalg.inv(A1.T @ A1 + P.P_inv)
-    M2 = np.linalg.inv(A2.T @ A2 + Pt.P_inv)
+    M1, M2 = np.linalg.inv(np.array([A1.T @ A1 + P.P_inv, A2.T @ A2 + Pt.P_inv]))
     lhs = spectral_norm(M1 - M2)
     rhs = 2.0 * z_inf * model.norm2**2 * P.p_max * Pt.p_max * float(
         np.abs(z1 - z2).max()
@@ -227,9 +227,8 @@ def _trial_tikhonov_lipschitz(rng, dims):
     z2 = rng.uniform(-z_inf, z_inf, size=model.n)
     P = _sample_P(rng, model.n, dims)
     Pt = _sample_P(rng, model.n, dims)
-    lhs = float(np.linalg.norm(
-        tikhonov_solve(model, z1, y, P) - tikhonov_solve(model, z2, y, Pt)
-    ))
+    t1, t2 = tikhonov_solve(model, np.array([z1, z2]), np.array([y, y]), (P, Pt))
+    lhs = float(np.linalg.norm(t1 - t2))
     y2 = float(np.linalg.norm(y))
     c1, c2 = tikhonov_constants(y2, z_inf, P.p_max, Pt.p_max, P.cond * Pt.cond, model)
     rhs = c1 * float(np.abs(z1 - z2).max()) + c2 * spectral_norm(P.P - Pt.P)
@@ -262,8 +261,7 @@ def _trial_datafit_grad(rng, dims):
     z2 = rng.uniform(-z_inf, z_inf, size=model.n)
     P1 = _sample_P(rng, model.n, dims)
     P2 = _sample_P(rng, model.n, dims)
-    u1 = tikhonov_solve(model, z1, y, P1)
-    u2 = tikhonov_solve(model, z2, y, P2)
+    u1, u2 = tikhonov_solve(model, np.array([z1, z2]), np.array([y, y]), (P1, P2))
     Au1, Au2 = model.A * u1, model.A * u2
     lhs = float(np.linalg.norm(Au1.T @ (Au1 @ z1 - y) - Au2.T @ (Au2 @ z2 - y)))
     Lz, Lu = datafit_grad_constants(z_inf, dims.p_max, float(np.linalg.norm(y)), model)
@@ -278,18 +276,21 @@ def _trial_scale_mapping(rng, dims):
     y = rng.standard_normal(model.m)
     P1 = _sample_P(rng, model.n, dims, config.cov_structure)
     P2 = _sample_P(rng, model.n, dims, config.cov_structure)
-    u1 = tikhonov_solve(model, _admissible_scale(rng, config), y, P1)
-    u2 = tikhonov_solve(model, _admissible_scale(rng, config), y, P2)
+    s = np.array([_admissible_scale(rng, config), _admissible_scale(rng, config)])
+    yy = np.array([y, y])
+    u = tikhonov_solve(model, s, yy, (P1, P2))
+    u1, u2 = u
     z1 = _admissible_scale(rng, config)
     z2 = _admissible_scale(rng, config)
     t1 = ParameterSet(P=P1, blocks=_sample_blocks(config, rng))
     t2 = ParameterSet(P=P2, blocks=_sample_blocks(config, rng))
 
-    a1, a2 = z1, z2
+    # both chains as one 2-row chain
+    blocks = _stack_blocks((t1, t2))
+    a = np.array([z1, z2])
     for j in range(J):
-        a1 = _scale_update(a1, u1, y, model, t1.blocks[0][j], config)
-        a2 = _scale_update(a2, u2, y, model, t2.blocks[0][j], config)
-    lhs = float(np.linalg.norm(a1 - a2))
+        a = _scale_update(a, u, yy, model, blocks[0][j], config)
+    lhs = float(np.linalg.norm(a[0] - a[1]))
 
     # K = 1, so the layer constants are the J-fold composition itself
     cns = network_constants_exact(config, model, y, P1, P2)
@@ -309,11 +310,10 @@ def _forward_pair(rng, dims):
     y = rng.standard_normal(model.m)
     t1 = sample_parameters(config, rng)
     t2 = sample_parameters(config, rng)
-    tr1 = forward(y, t1, config, model)
-    tr2 = forward(y, t2, config, model)
+    trace = forward(y, (t1, t2), config, model)  # row 0 runs t1, row 1 runs t2
     cns = network_constants_exact(config, model, y, t1.P, t2.P)
     p_dist, dist = parameter_distance(t1, t2, config)
-    return config, tr1, tr2, cns, p_dist, dist
+    return config, trace, cns, p_dist, dist
 
 
 def _theta_sum(config, coeffs, dist):
@@ -326,15 +326,16 @@ def _theta_sum(config, coeffs, dist):
 
 
 def _trial_scale_chain(rng, dims):
-    config, tr1, tr2, cns, p_dist, dist = _forward_pair(rng, dims)
-    lhs = float(np.linalg.norm(tr1.z[-1][-1] - tr2.z[-1][-1]))
+    config, trace, cns, p_dist, dist = _forward_pair(rng, dims)
+    z = trace.z[-1][-1]
+    lhs = float(np.linalg.norm(z[0] - z[1]))
     rhs = cns.c_hat1 * p_dist + _theta_sum(config, cns.c_hat2, dist)
     return lhs, rhs
 
 
 def _trial_network_lipschitz(rng, dims):
-    config, tr1, tr2, cns, p_dist, dist = _forward_pair(rng, dims)
-    lhs = float(np.linalg.norm(tr1.output - tr2.output))
+    config, trace, cns, p_dist, dist = _forward_pair(rng, dims)
+    lhs = float(np.linalg.norm(trace.output[0] - trace.output[1]))
     rhs = cns.kappa * p_dist + _theta_sum(config, cns.kappa_kdj, dist)
     return lhs, rhs
 

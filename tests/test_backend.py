@@ -108,3 +108,28 @@ def test_stack_equals_row_calls(name):
         msg = f"m={m} n={n} B={B}"
         np.testing.assert_array_equal(out, np.stack([kernels[name](*r) for r in rows]), err_msg=msg)
         np.testing.assert_array_equal(out, np.stack([REFERENCE[name](*r) for r in rows]), err_msg=msg)
+
+
+@pytest.mark.parametrize("name", ["tikhonov_primal", "tikhonov_woodbury", "cgnet_step", "drcgnet_vstep"])
+def test_parameter_stack_equals_row_calls(name):
+    # P, P_inv and B as (T, n, n) stacks, mu and delta as (T,) arrays with zeros
+    rng = np.random.default_rng(SEED_BACKEND + 1)
+    for m, n in _shapes():
+        T = int(rng.integers(1, 6))
+        A = rng.standard_normal((m, n))
+        P = np.stack([random_spd(rng, n) for _ in range(T)])
+        z = rng.uniform(0.5, 3.0, size=(T, n))
+        u = rng.standard_normal((T, n))
+        y = 3.0 * rng.standard_normal((T, m))
+        coef = rng.uniform(-1.0, 1.0, size=T) * (rng.random(T) < 0.6)
+        args = {
+            "tikhonov_primal": (A, z, y, np.linalg.inv(P)),
+            "tikhonov_woodbury": (A, z, y, P),
+            "cgnet_step": (z, u, y, A, P, coef, 1.0, 20.0, 1.0),
+            "drcgnet_vstep": (z, u, y, A, coef, 1.0),
+        }[name]
+        out = kernels[name](*args)
+        rows = [tuple(a[t] if np.ndim(a) and a is not A else a for a in args) for t in range(T)]
+        msg = f"m={m} n={n} T={T}"
+        np.testing.assert_array_equal(out, np.stack([kernels[name](*r) for r in rows]), err_msg=msg)
+        np.testing.assert_array_equal(out, np.stack([REFERENCE[name](*r) for r in rows]), err_msg=msg)

@@ -227,7 +227,7 @@ class TestGebBound:
 
     @pytest.mark.parametrize("name, value", [
         ("y_max", math.nan), ("y_max", math.inf), ("y_max", -1.0), ("empirical_loss", math.nan),
-        ("Ns", 2.5), ("Ns", math.nan), ("Ns", math.inf), ("Ns", 10**400),
+        ("Ns", 2.5), ("Ns", math.nan), ("Ns", math.inf), ("Ns", 10**400), ("Ns", True),
     ])
     def test_rejects_non_finite_inputs(self, name, value):
         model = MeasurementModel(FROZEN_A)

@@ -219,6 +219,19 @@ class TestSpectralNorm:
             M = rng.standard_normal((int(rng.integers(1, 9)), int(rng.integers(1, 9))))
             assert spectral_norm(M) == pytest.approx(spectral_norm(M.T), rel=1e-10)
 
+    def test_stack_equals_matrix_calls(self):
+        rng = np.random.default_rng(SEED_MODEL)
+        for _ in range(300):
+            lead = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(1, 3))))
+            r, c = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+            M = rng.standard_normal(lead + (r, c)) * rng.uniform(1e-3, 1e3)
+            got = spectral_norm(M)
+            assert isinstance(got, np.ndarray) and got.shape == lead
+            for idx in np.ndindex(lead):
+                want = spectral_norm(M[idx])
+                assert isinstance(want, float)
+                assert got[idx] == want, (lead, r, c, idx)
+
     def test_inf_norm_is_max_row_sum(self):
         M = np.array([[1.0, -2.0], [3.0, 0.5]])
         assert operator_inf_norm(M) == pytest.approx(3.5)
@@ -287,6 +300,37 @@ class TestTikhonovSolve:
         for z, y in ((np.zeros((2, 3)), np.zeros((4, 3))), (np.zeros(3), np.zeros((2, 3)))):
             with pytest.raises(ValueError, match="same rows"):
                 tikhonov_solve(model, z, y, P)
+
+
+    def test_tuple_of_P_equals_row_solves(self):
+        # m < n (Woodbury) and m >= n (primal), one P per row
+        rng = np.random.default_rng(SEED_MODEL)
+        for _ in range(300):
+            n, m, T = (int(v) for v in rng.integers(1, 10, size=3))
+            model = MeasurementModel(rng.standard_normal((m, n)))
+            Ps = tuple(SpdMatrix(random_spd(rng, n)) for _ in range(T))
+            z = rng.uniform(-3, 3, size=(T, n))
+            y = rng.standard_normal((T, m))
+            out = tikhonov_solve(model, z, y, Ps)
+            assert out.shape == (T, n)
+            for t in range(T):
+                np.testing.assert_array_equal(
+                    out[t], tikhonov_solve(model, z[t], y[t], Ps[t]), err_msg=f"m={m} n={n} T={T}"
+                )
+
+    def test_tuple_of_P_validation(self):
+        model = MeasurementModel(np.eye(3))
+        P = SpdMatrix(np.eye(3))
+        with pytest.raises(ValueError, match="needs"):
+            tikhonov_solve(model, np.zeros((3, 3)), np.zeros((3, 3)), (P, P))
+        with pytest.raises(ValueError, match="needs"):
+            tikhonov_solve(model, np.zeros(3), np.zeros(3), (P,))
+        with pytest.raises(ValueError, match="one size"):
+            tikhonov_solve(model, np.zeros((2, 3)), np.zeros((2, 3)), (P, SpdMatrix(np.eye(2))))
+        with pytest.raises(TypeError):
+            tikhonov_solve(model, np.zeros((1, 3)), np.zeros((1, 3)), (np.eye(3),))
+        with pytest.raises(TypeError):
+            tikhonov_solve(model, np.zeros((1, 3)), np.zeros((1, 3)), ())
 
 
 class TestCostEval:

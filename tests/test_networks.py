@@ -328,6 +328,70 @@ class TestStackedForward:
             assert np.all((z >= 0.0) & (z <= config.bounds.z_inf))
 
 
+@st.composite
+def _parameter_stack_cases(draw):
+    K = draw(st.integers(1, 12))
+    J = draw(st.integers(1, 12 // K))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    if draw(st.sampled_from(("cgnet", "drcgnet"))) == "cgnet":
+        config = _cg_config(n=n, K=K, J=J)
+    else:
+        config = _dr_config(n=n, K=K, J=J, Lc=draw(st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = MeasurementModel(rng.standard_normal((m, n)))
+    thetas = []
+    for _ in range(draw(st.integers(1, 4))):
+        theta = sample_parameters(config, rng)
+        if draw(st.booleans()):
+            # a zero last block: mu for cgnet (no log term), delta for drcgnet
+            blocks = tuple(tuple(kj[:-1] + (0.0,) for kj in row) for row in theta.blocks)
+            theta = ParameterSet(P=theta.P, blocks=blocks)
+        thetas.append(theta)
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    y = draw(arrays(np.float64, (m,), elements=finite))
+    return config, model, tuple(thetas), y
+
+
+class TestParameterStack:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_parameter_stack_cases())
+    def test_rows_match_single_passes(self, case):
+        config, model, thetas, y = case
+        fields = _trace_fields(forward(y, thetas, config, model))
+        assert all(f.shape == (len(thetas), config.n) for f in fields)
+        for t, theta in enumerate(thetas):
+            for got, want in zip(fields, _trace_fields(forward(y, theta, config, model))):
+                np.testing.assert_array_equal(got[t], want)
+
+    def test_zero_mu_row_skips_log_term(self):
+        # a row with mu == 0 may hold z <= 0, where the log term is undefined
+        rng = np.random.default_rng(SEED_NET)
+        model = _model(rng)
+        z = np.stack([rng.uniform(1, 3, size=8), np.zeros(8)])
+        u, y = rng.standard_normal((2, 8)), rng.standard_normal((2, 4))
+        B = np.stack([random_spd(rng, 8), random_spd(rng, 8)])
+        mu = np.array([0.7, 0.0])
+        out = cgnet_scale_step(z, u, y, model, B, mu, BOUNDS)
+        for t in range(2):
+            np.testing.assert_array_equal(out[t], cgnet_scale_step(z[t], u[t], y[t], model, B[t], mu[t], BOUNDS))
+
+    def test_rejects_bad_stacks(self):
+        rng = np.random.default_rng(SEED_NET)
+        model = _model(rng)
+        config = _cg_config()
+        theta = sample_parameters(config, 1)
+        with pytest.raises(ValueError, match="one y"):
+            forward(rng.standard_normal((2, 4)), (theta, theta), config, model)
+        with pytest.raises(TypeError):
+            forward(rng.standard_normal(4), (), config, model)
+        with pytest.raises(ValueError):  # a stack of another (K, J)
+            forward(rng.standard_normal(4), (theta, sample_parameters(_cg_config(K=1), 2)), config, model)
+        with pytest.raises(ValueError, match="mu of shape"):
+            cgnet_scale_step(np.ones((3, 8)), np.ones((3, 8)), np.ones((3, 4)), model,
+                             np.eye(8), np.ones(2), BOUNDS)
+
+
 class TestNetworkConfig:
     def test_requires_at_least_one_layer(self):
         with pytest.raises(ValueError):

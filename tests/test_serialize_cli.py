@@ -167,9 +167,12 @@ class TestRunConfig:
         ("sweep.Ns", "many"),
         ("sweep.eps_conf", 1.5),
         ("sweep.eps_conf", "five percent"),
+        ("geb.Ns", True),
+        ("verify.trials", True),
+        ("sweep.Ns", True),
     ], ids=["gap_Ns", "gap_test_draws", "gap_suite_size", "two_ns_values", "null_seed",
             "sweep_Ns", "sweep_Ns_fraction", "sweep_Ns_text", "sweep_eps_conf",
-            "sweep_eps_conf_text"])
+            "sweep_eps_conf_text", "geb_Ns_bool", "verify_trials_bool", "sweep_Ns_bool"])
     def test_report_rejects_before_any_suite(self, tmp_path, capsys, field, value):
         cfg = _small_config()
         *section, key = field.split(".")
@@ -316,6 +319,33 @@ class TestReport:
             b1 = (tmp_path / "r1" / name).read_bytes()
             b2 = (tmp_path / "r2" / name).read_bytes()
             assert b1 == b2, name
+
+    def test_each_sweep_runs_once(self, tmp_path, monkeypatch):
+        import cgbound.bounds as bounds_mod
+        import cgbound.report as report_mod
+
+        calls = []
+        original = bounds_mod.sweep_bound
+
+        def counted(*args):
+            calls.append(args[3].axis)
+            return original(*args)
+
+        monkeypatch.setattr(bounds_mod, "sweep_bound", counted)
+        monkeypatch.setattr(report_mod, "sweep_bound", counted)
+        cfg = _small_config()
+        cfg["verify"]["trials"] = 5
+        cfg["gap"]["suite_size"] = 1
+        assert run_report(load_run_config(cfg), str(tmp_path / "out")) == 0
+        assert sorted(calls) == ["kj", "n", "ns"]
+        # the CSV and the fit fed from one sweep equal the public functions
+        fits = json.loads((tmp_path / "out" / "scaling.json").read_text())
+        for axis, (c, mdl, spec, loss) in report_mod.scaling_study_specs(cfg["sweep"]).items():
+            text = (tmp_path / "out" / f"sweep_{axis}.csv").read_text()
+            assert text == report_mod.sweep_csv(c, mdl, loss, spec)
+            fit = bounds_mod.scaling_fit(c, mdl, loss, spec)
+            assert fits[axis]["exponent"] == fit.exponent
+            assert fits[axis]["fitted"] == list(fit.fitted)
 
     def test_report_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
