@@ -7,12 +7,9 @@ from .bounds import (
     LossSpec,
     ScalingFit,
     SweepSpec,
-    cor1_comparator,
-    cor2_comparator,
     covering_log_bound,
     dim_cov,
     dudley_closed_form,
-    dudley_integral_quad,
     geb_bound,
     sample_complexity,
     scaling_fit,

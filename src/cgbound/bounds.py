@@ -4,10 +4,10 @@ Puts together the three-term high-probability bound on the gap between
 population and training loss of the unrolled networks: the (supplied)
 empirical loss, a complexity term built from covering numbers of the
 parameter balls through a closed-form entropy-integral bound, and a
-confidence term. Also provides the closed-form integral bound itself with
-an independent quadrature oracle, training-measurement radius estimates,
-closed-form sample-complexity inversion, and log-log slope fits of the
-bound against signal dimension, network size, and sample count.
+confidence term. Also provides the closed-form integral bound itself,
+training-measurement radius estimates, closed-form sample-complexity
+inversion, and log-log slope fits of the bound against signal dimension,
+network size, and sample count.
 """
 
 import math
@@ -26,14 +26,11 @@ __all__ = [
     "dim_cov",
     "covering_log_bound",
     "dudley_closed_form",
-    "dudley_integral_quad",
     "ymax_estimate",
     "geb_bound",
     "sweep_bound",
     "scaling_fit",
     "sample_complexity",
-    "cor1_comparator",
-    "cor2_comparator",
     "norm_log_sum",
 ]
 
@@ -217,43 +214,6 @@ def dudley_closed_form(beta, nu):
         raise ValueError("nu must be nonnegative")
     log_ratio = math.log(nu) - math.log(beta) if nu > 0 else -math.inf
     return beta * math.sqrt(_log_factor(log_ratio, 0.0))
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    flm = f(0.5 * (a + m))
-    frm = f(0.5 * (m + b))
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1
-    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-
-
-def dudley_integral_quad(beta, nu, tol=1e-8):
-    """Adaptive-Simpson value of ``integral_0^beta sqrt(ln(1 + nu/eps)) d eps``.
-
-    The integrand has an integrable singularity at 0; the substitution
-    ``eps = beta * u^2`` removes it before quadrature. Serves as the
-    independent oracle for :func:`dudley_closed_form`.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    if nu == 0:
-        return 0.0
-
-    def h(u):
-        if u == 0.0:
-            return 0.0
-        return 2.0 * beta * u * math.sqrt(math.log1p(nu / (beta * u * u)))
-
-    fa, fm, fb = h(0.0), h(0.5), h(1.0)
-    whole = (fa + 4.0 * fm + fb) / 6.0
-    return _adaptive_simpson(h, 0.0, 1.0, fa, fm, fb, whole, tol, 50)
 
 
 def ymax_estimate(model, c_max, mode, dataset=None):
@@ -444,16 +404,6 @@ def _fit_rows(config, model, spec, rows):
         fitted=tuple(float(y) for y in ys),
         r_diagnostic=tuple(float(r) for _, _, r in rows),
     )
-
-
-def cor1_comparator(n, m, network_size, Ns):
-    """Dominant scaling expression of the quadratic-update network's bound."""
-    return n * math.sqrt(network_size**3 * (math.log(m) + math.log(n)) / Ns)
-
-
-def cor2_comparator(n, m, network_size, Ns):
-    """Dominant scaling expression of the learned-regularizer network's bound."""
-    return math.sqrt(network_size**3 * (math.log(m) + math.log(n)) / Ns)
 
 
 def sample_complexity(config, model, loss, gap, eps_conf, y_max):

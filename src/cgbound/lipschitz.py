@@ -7,13 +7,15 @@ the network output can move when the covariance or any scale-update
 parameter moves.
 
 The aggregated constants grow geometrically in K*J and overflow float64 at
-the sizes the scaling studies use, so every chained quantity is also carried
-in log form (``log_*`` fields); the generalization-bound evaluators consume
-only the logs.
+the sizes the scaling studies use, so every chained quantity is stored in
+log form (``log_*`` fields) only; the generalization-bound evaluators
+consume only the logs, and each linear value is derived from its log the
+first time it is read.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +49,8 @@ def _safe_log(x):
 
 def _logsumexp(values):
     values = np.asarray(values, dtype=np.float64)
+    if values.size == 1:  # the exp/log round trip below returns v + 0.0 exactly
+        return float(values[0] + 0.0)
     hi = values.max()
     if hi == -math.inf:
         return -math.inf
@@ -70,27 +74,47 @@ class StepConstants:
             raise ValueError("step constants must be nonnegative")
 
 
+def _linear(log_name):
+    """The linear value of a stored log, computed on first read and cached."""
+
+    def read(self):
+        with np.errstate(over="ignore"):
+            value = np.exp(getattr(self, log_name))
+        return value if isinstance(value, np.ndarray) else float(value)
+
+    return cached_property(read)
+
+
 @dataclass(frozen=True)
 class AggregateConstants:
     """End-to-end sensitivity coefficients of the unrolled network.
 
     ``kappa`` bounds the output movement per unit covariance movement,
     ``kappa_kdj[k-1, j-1, d-1]`` per unit movement of parameter block d of
-    scale update j in layer k. Linear values may overflow to ``inf`` for
-    large networks; the ``log_*`` fields are always finite (or ``-inf``).
+    scale update j in layer k. Only ``c1``, ``c2`` and the logs are stored;
+    ``r_hat1``, ``r_hat2``, ``r_hat3``, ``c_hat1``, ``c_hat2``, ``kappa``
+    and ``kappa_kdj`` are each ``np.exp`` of their log, derived on first
+    read. Linear values may overflow to ``inf`` for large networks; the
+    ``log_*`` fields are always finite (or ``-inf``).
     """
 
     c1: float
     c2: float
-    r_hat1: float
-    r_hat2: float
-    r_hat3: np.ndarray
-    c_hat1: float
-    c_hat2: np.ndarray
-    kappa: float
-    kappa_kdj: np.ndarray
+    log_rhat1: float
+    log_rhat2: float
+    log_rhat3: np.ndarray
+    log_chat1: float
+    log_chat2: np.ndarray
     log_kappa: float
     log_kappa_kdj: np.ndarray
+
+    r_hat1 = _linear("log_rhat1")
+    r_hat2 = _linear("log_rhat2")
+    r_hat3 = _linear("log_rhat3")
+    c_hat1 = _linear("log_chat1")
+    c_hat2 = _linear("log_chat2")
+    kappa = _linear("log_kappa")
+    kappa_kdj = _linear("log_kappa_kdj")
 
 
 def cgnet_step_constants(z_inf, xi, p_max, mu_bound, y_max, model):
@@ -165,10 +189,10 @@ def fc_lipschitz(weight_norms, tau, x_norm):
     T = len(w)
     if T < 1:
         raise ValueError("need at least one layer")
-    input_coeff = tau ** (T - 1) * float(np.prod(w))
+    input_coeff = tau ** (T - 1) * math.prod(w, start=1.0)
     weight_coeffs = []
     for t in range(1, T + 1):
-        others = float(np.prod([w[i] for i in range(T) if i != t - 1]))
+        others = math.prod(w[:t - 1] + w[t:], start=1.0)
         weight_coeffs.append(tau ** (T - t) * others * x_norm)
     return input_coeff, weight_coeffs
 
@@ -176,6 +200,7 @@ def fc_lipschitz(weight_norms, tau, x_norm):
 def _assemble(config, c1, c2, rc, kappa_prefactor):
     """Log-domain assembly of the layer-chained constants.
 
+    Only the logs are computed; the linear values are derived when read.
     One layer's J updates compose to ``r_hat1 = r1^J``, ``r_hat2 = r2 *
     sum_j r1^(J-j)`` (a sum, finite at r1 = 1) and ``r_hat3[j-1, d-1] =
     r3[d] * r1^(J-j)``.
@@ -201,21 +226,17 @@ def _assemble(config, c1, c2, rc, kappa_prefactor):
     log_kappa = np.logaddexp(log_pref + log_chat1, _safe_log(config.bounds.z_inf * c2))
     log_kappa_kdj = log_pref + log_chat2
 
-    with np.errstate(over="ignore"):
-        agg = AggregateConstants(
-            c1=c1,
-            c2=c2,
-            r_hat1=float(np.exp(log_rhat1)),
-            r_hat2=float(np.exp(log_rhat2)),
-            r_hat3=np.exp(log_rhat3),
-            c_hat1=float(np.exp(log_chat1)),
-            c_hat2=np.exp(log_chat2),
-            kappa=float(np.exp(log_kappa)),
-            kappa_kdj=np.exp(log_kappa_kdj),
-            log_kappa=float(log_kappa),
-            log_kappa_kdj=log_kappa_kdj,
-        )
-    return agg
+    return AggregateConstants(
+        c1=c1,
+        c2=c2,
+        log_rhat1=log_rhat1,
+        log_rhat2=log_rhat2,
+        log_rhat3=log_rhat3,
+        log_chat1=log_chat1,
+        log_chat2=log_chat2,
+        log_kappa=float(log_kappa),
+        log_kappa_kdj=log_kappa_kdj,
+    )
 
 
 def network_constants(config, model, y_max):

@@ -178,9 +178,10 @@ def _parse_model(sec):
     mat = _get(sec, "matrix", "model")
     if isinstance(mat, dict) and "generator" in mat:
         gen = mat["generator"]
-        scale = float(mat.get("scale", 1.0))
+        scale = _get(mat, "scale", "model.matrix", float, required=False, default=1.0)
         if gen == "gaussian":
-            rng = np.random.default_rng(int(mat.get("seed", 0)))
+            rng = np.random.default_rng(
+                _get(mat, "seed", "model.matrix", int, required=False, default=0))
             A = scale * rng.standard_normal((m, n))
         elif gen == "ones":
             A = scale * np.ones((m, n))

@@ -4,9 +4,13 @@ These deliberately avoid the package's own code paths: covering counts come
 from an explicit greedy construction, gradients from central finite
 differences, spectral norms from the symmetric eigenproblem of the Gram
 matrix, the regularized solves from a dense normal-equations solve with
-an explicit inverse, and the alternating least-squares iteration that the
-networks unroll from the model equations on one measurement at a time.
+an explicit inverse, the alternating least-squares iteration that the
+networks unroll from the model equations on one measurement at a time, and
+the entropy integral from adaptive-Simpson quadrature. The paper's
+corollary expressions for the two variants' bounds are stated here too.
 """
+
+import math
 
 import numpy as np
 
@@ -107,3 +111,50 @@ def alternating_ls_oracle(y, A, P, blocks, config):
 def random_spd(rng, n, jitter=1e-2):
     G = rng.standard_normal((n, n))
     return G @ G.T + jitter * np.eye(n)
+
+
+def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    flm = f(0.5 * (a + m))
+    frm = f(0.5 * (m + b))
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return _adaptive_simpson(
+        f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1
+    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+
+
+def dudley_integral_quad(beta, nu, tol=1e-8):
+    """Adaptive-Simpson value of ``integral_0^beta sqrt(ln(1 + nu/eps)) d eps``.
+
+    The integrand has an integrable singularity at 0; the substitution
+    ``eps = beta * u^2`` removes it before quadrature. Serves as the
+    independent oracle for ``cgbound.bounds.dudley_closed_form``.
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
+    if nu == 0:
+        return 0.0
+
+    def h(u):
+        if u == 0.0:
+            return 0.0
+        return 2.0 * beta * u * math.sqrt(math.log1p(nu / (beta * u * u)))
+
+    fa, fm, fb = h(0.0), h(0.5), h(1.0)
+    whole = (fa + 4.0 * fm + fb) / 6.0
+    return _adaptive_simpson(h, 0.0, 1.0, fa, fm, fb, whole, tol, 50)
+
+
+def cor1_comparator(n, m, network_size, Ns):
+    """Dominant scaling expression of the quadratic-update network's bound."""
+    return n * math.sqrt(network_size**3 * (math.log(m) + math.log(n)) / Ns)
+
+
+def cor2_comparator(n, m, network_size, Ns):
+    """Dominant scaling expression of the learned-regularizer network's bound."""
+    return math.sqrt(network_size**3 * (math.log(m) + math.log(n)) / Ns)

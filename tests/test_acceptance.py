@@ -17,8 +17,9 @@ and asserts the criterion:
     KJ in [4, 4096] (learned-regularizer variant, constant log correction
     divided out) and slope 1.0 +- 0.1 vs signal dimension over n in [4, 64]
     (quadratic-update variant, sqrt(ln n) divided out)
- 7. the dominant-expression ratio of the two variants' bounds at matched
-    network size grows linearly in n, fitted slope 1.0 +- 0.05
+ 7. the ratio of the paper's corollary expressions for the two variants'
+    bounds at matched network size grows linearly in n, fitted slope
+    1.0 +- 0.05 (a check of the stated expressions; no bound code runs)
  8. empirical generalization gap <= assembled bound on every configuration
     of the 20-entry desk-scale suite
  9. network output invariants (output inside the signal ball, scale
@@ -33,14 +34,7 @@ import time
 
 import numpy as np
 
-from cgbound.bounds import (
-    cor1_comparator,
-    cor2_comparator,
-    dudley_closed_form,
-    dudley_integral_quad,
-    geb_bound,
-    scaling_fit,
-)
+from cgbound.bounds import dudley_closed_form, geb_bound, scaling_fit
 from cgbound.backend import kernels
 from cgbound.model import MeasurementModel, SignalBounds, SpdMatrix
 from cgbound.networks import NetworkConfig, forward, sample_parameters
@@ -48,7 +42,12 @@ from cgbound.report import default_config, run_gap_suite, run_report, scaling_st
 from cgbound.serialize import load_run_config
 from cgbound.verify import TARGETS, verify_lipschitz
 
-from oracles import alternating_ls_oracle
+from oracles import (
+    alternating_ls_oracle,
+    cor1_comparator,
+    cor2_comparator,
+    dudley_integral_quad,
+)
 
 ACCEPT_SEED = 0xACCE_2025
 
@@ -183,6 +182,9 @@ def test_06_scaling_laws():
 
 
 def test_07_variant_tightness_ratio():
+    """Checks the paper's corollary expressions (``tests/oracles.py``), not
+    the assembled bound: the ratio is exactly n, so the slope is 1 by
+    construction, and no code of the bound runs."""
     ns = np.array([4, 8, 16, 32, 64], dtype=float)
     net, m, Ns = 64, 8, 10000
     ratios = [cor1_comparator(n, m, net, Ns) / cor2_comparator(n, m, net, Ns) for n in ns]

@@ -9,12 +9,9 @@ from cgbound import bounds
 from cgbound.bounds import (
     LossSpec,
     SweepSpec,
-    cor1_comparator,
-    cor2_comparator,
     covering_log_bound,
     dim_cov,
     dudley_closed_form,
-    dudley_integral_quad,
     geb_bound,
     sample_complexity,
     scaling_fit,
@@ -24,7 +21,7 @@ from cgbound.model import MeasurementModel, SignalBounds
 from cgbound.networks import NetworkConfig
 from cgbound.report import scaling_study_specs
 
-from oracles import greedy_cover_count
+from oracles import cor1_comparator, cor2_comparator, dudley_integral_quad, greedy_cover_count
 
 SEED_GEB = 0x5EED_0004
 

@@ -1,6 +1,7 @@
 """Sensitivity-constant formulas, aggregation, and dominance checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cgbound.lipschitz import (
     TAU_H,
     StepConstants,
     _assemble,
+    _logsumexp,
     cgnet_step_constants,
     datafit_grad_constants,
     drcgnet_step_constants,
@@ -282,3 +284,89 @@ class TestNetworkConstants:
         cns = network_constants(_cg_config(), model, 1.0)
         assert math.log(cns.kappa) == pytest.approx(cns.log_kappa, rel=1e-12)
         np.testing.assert_allclose(np.log(cns.kappa_kdj), cns.log_kappa_kdj, rtol=1e-12)
+
+
+def _dr_config(n=3, K=2, J=2):
+    return NetworkConfig(
+        variant="drcgnet", n=n, K=K, J=J, bounds=SignalBounds.default(),
+        p_min=0.5, p_max=2.0, Lc=2, filters=(1, 2, 1), kernels=(3, 2),
+        weight_bounds=(0.8, 1.1), delta=0.4,
+    )
+
+
+def _bits(x):
+    """Bit pattern of a float or a float array, for bitwise comparisons."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    assert type(x) is float
+    return x.hex()
+
+
+def _np_exp(log_value):
+    """``np.exp`` of a stored log, as a float for a scalar log."""
+    with np.errstate(over="ignore"):
+        value = np.exp(log_value)
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
+LINEAR_FROM_LOG = {
+    "r_hat1": "log_rhat1",
+    "r_hat2": "log_rhat2",
+    "r_hat3": "log_rhat3",
+    "c_hat1": "log_chat1",
+    "c_hat2": "log_chat2",
+    "kappa": "log_kappa",
+    "kappa_kdj": "log_kappa_kdj",
+}
+
+
+class TestLogDomainStorage:
+    """Only the logs are stored; the linear values and the shortcuts must
+    give the bits of the formulas they replace."""
+
+    def test_fc_lipschitz_equals_np_prod_formula(self):
+        rng = np.random.default_rng(SEED_LIP)
+        for _ in range(2000):
+            T = int(rng.integers(1, 5))
+            w = rng.uniform(0.0, 3.0, size=T)
+            w[rng.random(T) < 0.2] = 0.0
+            tau, x_norm = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 5.0))
+            ic, wc = fc_lipschitz(tuple(w), tau, x_norm)
+            ws = [float(v) for v in w]
+            assert _bits(ic) == _bits(tau ** (T - 1) * float(np.prod(ws)))
+            for t in range(1, T + 1):
+                others = float(np.prod([ws[i] for i in range(T) if i != t - 1]))
+                assert _bits(wc[t - 1]) == _bits(tau ** (T - t) * others * x_norm)
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, -math.inf, 1e300, -1e300])
+    def test_single_value_logsumexp_equals_general_formula(self, v):
+        values = np.array([v])
+        hi = values.max()
+        general = -math.inf if hi == -math.inf else float(hi + np.log(np.exp(values - hi).sum()))
+        assert _bits(_logsumexp(values)) == _bits(general)
+
+    @pytest.mark.parametrize("cfg", [_cg_config(), _dr_config(), _cg_config(K=1, J=1),
+                                     _dr_config(K=3, J=1)], ids=["cg", "dr", "cg_k1j1", "dr_j1"])
+    def test_linear_fields_are_exp_of_their_logs(self, cfg):
+        rng = np.random.default_rng(SEED_LIP + 1)
+        model = MeasurementModel(rng.standard_normal((2, cfg.n)))
+        y = rng.standard_normal(2)
+        P = sample_covariance("full", cfg.n, 0.5, 2.0, rng)
+        Pt = sample_covariance("full", cfg.n, 0.5, 2.0, rng)
+        for cns in (network_constants(cfg, model, 1.3),
+                    network_constants_exact(cfg, model, y, P, Pt)):
+            for linear, log in LINEAR_FROM_LOG.items():
+                value = getattr(cns, linear)
+                assert _bits(value) == _bits(_np_exp(getattr(cns, log)))
+                assert getattr(cns, linear) is value
+
+    def test_overflowing_constant_reads_inf_without_warning(self):
+        model = MeasurementModel(1e3 * np.ones((1, 3)))
+        cns = network_constants(_cg_config(K=32, J=32), model, 10.0)
+        assert math.isfinite(cns.log_kappa) and cns.log_kappa > 710.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cns.kappa == math.inf
+            assert cns.kappa_kdj.max() == math.inf
+            assert cns.r_hat1 == math.inf
+

@@ -143,6 +143,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="dataset.Ns"):
             load_run_config(bad)
 
+    @pytest.mark.parametrize("key", ["seed", "scale"])
+    @pytest.mark.parametrize("value", [True, "x"], ids=["bool", "text"])
+    def test_matrix_generator_fields_are_checked(self, key, value):
+        cfg = _small_config()
+        assert cfg["model"]["matrix"]["generator"] == "gaussian"
+        cfg["model"]["matrix"][key] = value
+        with pytest.raises(ConfigError, match=f"^model\\.matrix\\.{key}:"):
+            load_run_config(cfg)
+
     @pytest.mark.parametrize("targets", ["gram_diff", ["gram_diff", "no_such_target"], [["gram_diff"]]])
     def test_verify_targets_validated(self, tmp_path, capsys, targets):
         cfg = _small_config()
