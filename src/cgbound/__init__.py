@@ -30,14 +30,11 @@ from .lipschitz import (
     tikhonov_constants,
 )
 from .model import (
-    CovarianceSpec,
     MeasurementModel,
     NumericalFailure,
     SignalBounds,
     SpdMatrix,
     ball_project,
-    build_covariance,
-    cost_eval,
     mrelu,
     spectral_norm,
     tikhonov_solve,
@@ -49,7 +46,6 @@ from .networks import (
     cgnet_scale_step,
     drcgnet_scale_step,
     forward,
-    grad_z_F,
     parameter_distance,
     sample_covariance,
     sample_parameters,

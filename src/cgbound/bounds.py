@@ -66,8 +66,8 @@ class LossSpec:
     name: str
 
     def __post_init__(self):
-        if self.tau <= 0 or self.c <= 0:
-            raise ValueError("tau and c must be positive")
+        if not (0 < self.tau < math.inf and 0 < self.c < math.inf):
+            raise ValueError(f"tau and c must be positive and finite, got {self.tau} and {self.c}")
 
     @classmethod
     def mae(cls, n, c_max):
@@ -163,6 +163,8 @@ class SweepSpec:
         if len(self.values) < 4:
             raise ValueError("sweep needs at least 4 points")
         vals = sorted(float(v) for v in self.values)
+        if not all(v.is_integer() for v in vals):
+            raise ValueError(f"sweep values must be integers, got {self.values}")
         if vals[0] <= 0 or vals[-1] / vals[0] < 10.0:
             raise ValueError("sweep must span at least one decade of positive values")
 

@@ -101,8 +101,8 @@ def cmd_bound(args):
 
 
 def cmd_verify(args):
-    targets = args.target or sorted(TARGETS)
-    if targets == ["all"]:
+    targets = args.target
+    if not targets or "all" in targets:
         targets = sorted(TARGETS)
     reports = []
     for target in targets:

@@ -1,12 +1,12 @@
 """Core domain types and shared numerics.
 
 Holds the linear measurement model ``y = A(z * u) + noise`` with cached
-operator norms, the four structured symmetric-positive-definite covariance
-constructions, the clamp/projection activations, the regularized
-least-squares (Tikhonov) solver, which picks its primal or Woodbury form by
-shape, and the alternating cost function they all minimize. The activations
-and the solver take a vector or a stack of vectors along a leading batch
-axis and act on each row (the last axis) independently.
+operator norms, the symmetric-positive-definite covariance type with its
+cached spectrum bounds, the clamp/projection activations, and the
+regularized least-squares (Tikhonov) solver, which picks its primal or
+Woodbury form by shape. The activations and the solver take a vector or a
+stack of vectors along a leading batch axis and act on each row (the last
+axis) independently.
 
 Everything here is a pure function of its inputs; constructed objects are
 immutable and safe to share across threads.
@@ -23,34 +23,19 @@ __all__ = [
     "NumericalFailure",
     "MeasurementModel",
     "SpdMatrix",
-    "CovarianceSpec",
     "SignalBounds",
-    "COV_STRUCTURES",
     "spectral_norm",
     "operator_inf_norm",
     "mrelu",
     "ball_project",
-    "build_covariance",
     "tikhonov_solve",
-    "cost_eval",
 ]
-
-COV_STRUCTURES = ("scaled_identity", "diagonal", "tridiagonal", "full")
 
 SYMMETRY_TOL = 1e-12
 
 
 class NumericalFailure(RuntimeError):
     """A linear solve produced non-finite values despite the SPD guards."""
-
-
-def _as_vector(x, n=None, name="vector"):
-    v = np.ascontiguousarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if n is not None and v.shape[0] != n:
-        raise ValueError(f"{name} must have length {n}, got {v.shape[0]}")
-    return v
 
 
 def _as_rows(x, n, name):
@@ -174,48 +159,17 @@ class SignalBounds:
     b: float
 
     def __post_init__(self):
-        if self.a > self.b:
-            raise ValueError(f"clamp interval requires a <= b, got a={self.a}, b={self.b}")
+        if not (-math.inf < self.a <= self.b < math.inf):
+            raise ValueError(f"clamp interval requires finite a <= b, got a={self.a}, b={self.b}")
         for name in ("c_max", "z_inf", "xi"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @classmethod
     def default(cls):
         """Exponential-scale setup: clamp [1, e^3], unit clip, unit signal ball."""
         e3 = math.exp(3.0)
         return cls(c_max=1.0, z_inf=e3, xi=1.0, a=1.0, b=e3)
-
-
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """Parameters of one structured covariance construction.
-
-    structure            parameters used
-    ----------------     -------------------------------------------
-    scaled_identity      lam (scalar), n
-    diagonal             lam_vec (length n)
-    tridiagonal          lam1 (length n), lam2 (length n-1)
-    full                 L (n x n, lower triangular)
-
-    ``epsilon`` is the positive stabilizer that keeps the materialized
-    matrix positive definite.
-    """
-
-    structure: str
-    epsilon: float = 1e-4
-    n: int = 0
-    lam: float = 0.0
-    lam_vec: tuple = ()
-    lam1: tuple = ()
-    lam2: tuple = ()
-    L: tuple = ()
-
-    def __post_init__(self):
-        if self.structure not in COV_STRUCTURES:
-            raise ValueError(f"unknown covariance structure {self.structure!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 def mrelu(x, a, b):
@@ -236,46 +190,6 @@ def ball_project(v, radius):
         raise ValueError(f"ball radius must be positive, got {radius}")
     v = np.ascontiguousarray(v, dtype=np.float64)
     return kernels["ball_project"](v, float(radius))
-
-
-def build_covariance(spec):
-    """Materialize a CovarianceSpec into an SpdMatrix.
-
-    The scaled-identity and diagonal constructions clamp their learned
-    entries below by ``epsilon``; the Gram constructions add ``epsilon * I``
-    to a lower-triangular product, so the smallest eigenvalue is at least
-    ``epsilon`` in every case.
-    """
-    eps = spec.epsilon
-    if spec.structure == "scaled_identity":
-        if spec.n < 1:
-            raise ValueError("scaled_identity requires n >= 1")
-        P = max(spec.lam, eps) * np.eye(spec.n)
-    elif spec.structure == "diagonal":
-        lam = _as_vector(spec.lam_vec, name="lam_vec")
-        if lam.size < 1:
-            raise ValueError("diagonal requires a nonempty lam_vec")
-        P = np.diag(np.maximum(lam, eps))
-    elif spec.structure == "tridiagonal":
-        lam1 = _as_vector(spec.lam1, name="lam1")
-        lam2 = _as_vector(spec.lam2, name="lam2")
-        n = lam1.size
-        if n < 1 or lam2.size != n - 1:
-            raise ValueError(
-                f"tridiagonal requires len(lam1)=n>=1 and len(lam2)=n-1, got {n} and {lam2.size}"
-            )
-        Ltri = np.diag(lam1)
-        if n > 1:
-            Ltri += np.diag(lam2, k=-1)
-        P = Ltri @ Ltri.T + eps * np.eye(n)
-    else:  # full
-        L = np.asarray(spec.L, dtype=np.float64)
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise ValueError(f"full requires a square L, got shape {L.shape}")
-        L = np.tril(L)
-        P = L @ L.T + eps * np.eye(L.shape[0])
-    P = 0.5 * (P + P.T)
-    return SpdMatrix(P)
 
 
 def _check_finite_rows(x, error, what):
@@ -330,15 +244,3 @@ def tikhonov_solve(model, z, y, P):
         out = kernels["tikhonov_primal"](model.A, z, y, P.P_inv)
     _check_finite_rows(out, NumericalFailure, "tikhonov solve produced")
     return out
-
-
-def cost_eval(u, z, y, model, P, reg=None):
-    """Alternating objective: 0.5*||y - A(z*u)||^2 + 0.5*u^T P^-1 u + R(z)."""
-    u = _as_vector(u, model.n, "u")
-    z = _as_vector(z, model.n, "z")
-    y = _as_vector(y, model.m, "y")
-    resid = y - model.A @ (z * u)
-    value = 0.5 * float(resid @ resid) + 0.5 * float(u @ (P.P_inv @ u))
-    if reg is not None:
-        value += float(reg(z))
-    return value

@@ -22,6 +22,7 @@ sets for one measurement; they run as one pass along the same leading axis,
 with every parameter stacked once per call.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,6 @@ __all__ = [
     "NetworkConfig",
     "ParameterSet",
     "ForwardTrace",
-    "grad_z_F",
     "cgnet_scale_step",
     "subnet_forward",
     "drcgnet_scale_step",
@@ -92,14 +92,14 @@ class NetworkConfig:
             raise ValueError("n must be >= 1")
         if self.K < 1 or self.J < 1:
             raise ValueError("K and J must be >= 1")
-        if not (0 < self.p_min <= self.p_max):
-            raise ValueError("require 0 < p_min <= p_max")
+        if not (0 < self.p_min <= self.p_max < math.inf):
+            raise ValueError("require 0 < p_min <= p_max < inf")
         object.__setattr__(self, "filters", tuple(int(f) for f in self.filters))
         object.__setattr__(self, "kernels", tuple(int(k) for k in self.kernels))
         object.__setattr__(self, "weight_bounds", tuple(float(w) for w in self.weight_bounds))
         if self.variant == "cgnet":
-            if self.mu_bound <= 0:
-                raise ValueError("cgnet requires a positive mu_bound")
+            if not 0 < self.mu_bound < math.inf:
+                raise ValueError("cgnet requires a positive finite mu_bound")
         else:
             if self.Lc < 1:
                 raise ValueError("drcgnet requires Lc >= 1")
@@ -111,10 +111,11 @@ class NetworkConfig:
                 raise ValueError("filter counts must be positive")
             if len(self.kernels) != self.Lc or any(k < 1 for k in self.kernels):
                 raise ValueError("kernels must list Lc positive kernel sizes")
-            if len(self.weight_bounds) != self.Lc or any(w <= 0 for w in self.weight_bounds):
-                raise ValueError("weight_bounds must list Lc positive radii")
-            if self.delta <= 0:
-                raise ValueError("drcgnet requires a positive delta")
+            if len(self.weight_bounds) != self.Lc or not all(
+                    0 < w < math.inf for w in self.weight_bounds):
+                raise ValueError("weight_bounds must list Lc positive finite radii")
+            if not 0 < self.delta < math.inf:
+                raise ValueError("drcgnet requires a positive finite delta")
 
     @property
     def D(self):
@@ -164,24 +165,6 @@ class ForwardTrace:
     z: tuple  # z[k][j], k = 0..K-1, j = 0..J-1
     u: tuple  # u[0] = initial estimate, u[k] after layer k
     output: np.ndarray
-
-
-def grad_z_F(z, u, y, model, mu):
-    """Scale-variable gradient of the alternating objective.
-
-    Data term ``A_u^T (A_u z - y)`` plus, for the exp scale nonlinearity,
-    the regularizer gradient ``mu * log(z) / z``. The log term is only
-    defined for strictly positive z.
-    """
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if mu != 0.0 and np.any(z <= 0.0):
-        raise ValueError("grad_z_F with mu != 0 requires strictly positive z")
-    g = kernels["datafit_grad"](model.A, u, z, y)
-    if mu != 0.0:
-        g = g + mu * (np.log(z) / z)
-    return g
 
 
 def cgnet_scale_step(z, u, y, model, B, mu, bounds):

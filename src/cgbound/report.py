@@ -34,8 +34,8 @@ from .bounds import (
 from .datagen import CgDataSpec, empirical_gap, generate_cg_dataset
 from .model import MeasurementModel, SignalBounds, SpdMatrix
 from .networks import NetworkConfig, sample_parameters
-from .serialize import ConfigError, dumps_canonical
-from .verify import TARGETS, verify_lipschitz
+from .serialize import ConfigError, _checked, _get, dumps_canonical
+from .verify import verify_lipschitz
 
 __all__ = [
     "default_config",
@@ -85,23 +85,14 @@ def scaling_study_specs(sweep_section):
     network-size study uses the learned-regularizer variant on a fixed
     small model; the sample-count study reuses it.
     """
-    def checked(key, default, check):
-        value = sweep_section.get(key, default)
-        try:
-            check(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep.{key}: {exc}") from None
-        return value
-
-    Ns = int(checked("Ns", 10000, _check_ns))
-    eps = float(checked("eps_conf", 0.05, _check_eps_conf))
+    Ns = _get(sweep_section, "Ns", "sweep", int, required=False, default=10000)
+    _checked("sweep.Ns", _check_ns, Ns)
+    eps = _get(sweep_section, "eps_conf", "sweep", float, required=False, default=0.05)
+    _checked("sweep.eps_conf", _check_eps_conf, eps)
 
     def spec(axis, key, default):
-        try:
-            values = tuple(sweep_section.get(key, default))
-            return SweepSpec(axis=axis, values=values, Ns=Ns, eps_conf=eps)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep.{key}: {exc}") from None
+        values = _get(sweep_section, key, "sweep", list[float], required=False, default=default)
+        return _checked(f"sweep.{key}", SweepSpec, axis=axis, values=values, Ns=Ns, eps_conf=eps)
 
     n_spec = spec("n", "n_values", (4, 8, 16, 32, 64))
     kj_spec = spec("kj", "kj_values", (4, 16, 64, 256, 1024, 4096))
@@ -229,8 +220,6 @@ def run_report(run_config, outdir):
 
     # inequality certification
     targets = run_config.verify_targets
-    if targets == "all":
-        targets = sorted(TARGETS)
     verify_payload = []
     for target in targets:
         rep = verify_lipschitz(target, run_config.verify_trials, seed=run_config.verify_seed)

@@ -21,20 +21,27 @@ A run configuration is a single JSON object with sections
 
 Covariance specs are ``{"structure", "epsilon", params...}`` with params
 "lam"/"n" (scaled_identity), "lam_vec" (diagonal), "lam1"/"lam2"
-(tridiagonal), or "L" (full, as an array object).
+(tridiagonal), or "L" (full, as an array object); each is built directly
+into the SPD matrix it describes.
 
-Validation errors carry the JSON path of the offending field. All payload
-writers use a canonical encoding (sorted keys, fixed float repr), so equal
-inputs produce byte-identical files.
+Fields are read by type only: an integer is a number with an integral
+value, a float is a finite number, and a JSON boolean is neither. Range
+checks belong to the objects the fields build. Every validation error
+carries the JSON path of the offending field. All payload writers use a
+canonical encoding (sorted keys, fixed float repr), so equal inputs
+produce byte-identical files.
 """
 
 import json
+import numbers
+import sys
+import types
 
 import numpy as np
 
-from .bounds import LossSpec
+from .bounds import LossSpec, _check_eps_conf, _check_ns
 from .datagen import CgDataSpec
-from .model import CovarianceSpec, MeasurementModel, SignalBounds, build_covariance
+from .model import MeasurementModel, SignalBounds, SpdMatrix
 from .networks import NetworkConfig
 from .verify import TARGETS
 
@@ -52,6 +59,41 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Configuration validation failure, tagged with its JSON path."""
+
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list",
+          dict: "an object"}
+
+
+def _typed(value, kind, name):
+    """``value`` read as ``kind``, or a ConfigError naming the field ``name``.
+
+    ``int`` takes a number with an integral value (``1e4`` reads as 10000)
+    and ``float`` a finite number; neither takes a boolean. ``list[int]``
+    and ``list[float]`` read every entry so and return a tuple.
+    """
+    if isinstance(kind, types.GenericAlias):
+        return tuple(_typed(v, kind.__args__[0], f"{name}[{i}]")
+                     for i, v in enumerate(_typed(value, list, name)))
+    if isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    elif kind is float:
+        ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{name}: expected {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _checked(name, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, a ValueError re-raised as a ConfigError naming ``name``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def array_to_json(a):
@@ -101,23 +143,16 @@ def parameters_to_json(theta):
 def _block_from_json(obj, path):
     if isinstance(obj, dict):
         return array_from_json(obj, path)
-    try:
-        return float(obj)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number or an array object, got {obj!r}") from None
+    return _typed(obj, float, path)
 
 
 def parameters_from_json(obj, config, path="params"):
     """Inverse of :func:`parameters_to_json`, validated against the config."""
-    from .model import SpdMatrix
     from .networks import ParameterSet, validate_parameters
 
     if not isinstance(obj, dict) or "P" not in obj or "blocks" not in obj:
         raise ConfigError(f"{path}: expected an object with 'P' and 'blocks'")
-    try:
-        P = SpdMatrix(array_from_json(obj["P"], f"{path}.P"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.P: {exc}") from None
+    P = _checked(f"{path}.P", SpdMatrix, array_from_json(obj["P"], f"{path}.P"))
     raw = obj["blocks"]
     if not isinstance(raw, list) or len(raw) != config.K:
         raise ConfigError(f"{path}.blocks: expected a {config.K} x {config.J} grid")
@@ -137,10 +172,7 @@ def parameters_from_json(obj, config, path="params"):
             ))
         blocks.append(tuple(out_row))
     theta = ParameterSet(P=P, blocks=tuple(blocks))
-    try:
-        validate_parameters(theta, config)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    _checked(path, validate_parameters, theta, config)
     return theta
 
 
@@ -154,21 +186,14 @@ def _section(cfg, name, required=True):
     return cfg[name]
 
 
-def _get(sec, key, path, cast=None, required=True, default=None):
+def _get(sec, key, path, kind=None, required=True, default=None):
+    """Field ``key`` of ``sec``, read as ``kind`` (see :func:`_typed`) when given."""
     name = f"{path}.{key}" if path else key
     if key not in sec:
         if required:
             raise ConfigError(f"{name}: missing required field")
         return default
-    value = sec[key]
-    if cast is not None:
-        if cast in (int, float) and isinstance(value, bool):
-            raise ConfigError(f"{name}: expected a number, got {json.dumps(value)}")
-        try:
-            return cast(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}: {exc}") from None
-    return value
+    return sec[key] if kind is None else _typed(sec[key], kind, name)
 
 
 def _parse_model(sec):
@@ -191,25 +216,14 @@ def _parse_model(sec):
         A = array_from_json(mat, "model.matrix")
     if A.shape != (m, n):
         raise ConfigError(f"model.matrix: shape {A.shape} does not match (m, n) = ({m}, {n})")
-    try:
-        return MeasurementModel(A, sigma=sigma)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
+    return _checked("model", MeasurementModel, A, sigma=sigma)
 
 
 def _parse_bounds(sec):
     if sec is None:
         return SignalBounds.default()
-    try:
-        return SignalBounds(
-            c_max=_get(sec, "c_max", "bounds", float),
-            z_inf=_get(sec, "z_inf", "bounds", float),
-            xi=_get(sec, "xi", "bounds", float),
-            a=_get(sec, "a", "bounds", float),
-            b=_get(sec, "b", "bounds", float),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bounds: {exc}") from None
+    radii = {key: _get(sec, key, "bounds", float) for key in ("c_max", "z_inf", "xi", "a", "b")}
+    return _checked("bounds", SignalBounds, **radii)
 
 
 def _parse_network(sec, n, bounds):
@@ -228,54 +242,69 @@ def _parse_network(sec, n, bounds):
     elif variant == "drcgnet":
         kwargs.update(
             Lc=_get(sec, "Lc", "network", int),
-            filters=tuple(_get(sec, "filters", "network", list)),
-            kernels=tuple(_get(sec, "kernels", "network", list)),
-            weight_bounds=tuple(_get(sec, "weight_bounds", "network", list)),
+            filters=_get(sec, "filters", "network", list[int]),
+            kernels=_get(sec, "kernels", "network", list[int]),
+            weight_bounds=_get(sec, "weight_bounds", "network", list[float]),
             delta=_get(sec, "delta", "network", float),
         )
     else:
         raise ConfigError(f"network.variant: unknown variant {variant!r}")
-    try:
-        return NetworkConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"network: {exc}") from None
+    return _checked("network", NetworkConfig, **kwargs)
 
 
-def _parse_cov_spec(sec, path):
+def _parse_covariance(sec, path):
+    """The SPD matrix that the covariance spec ``sec`` describes.
+
+    The scaled-identity and diagonal constructions clamp their entries
+    below by ``epsilon``; the Gram constructions add ``epsilon * I`` to a
+    lower-triangular product, so the smallest eigenvalue is at least
+    ``epsilon`` in every case.
+    """
+    sec = _typed(sec, dict, path)
     structure = _get(sec, "structure", path, str)
     eps = _get(sec, "epsilon", path, float, required=False, default=1e-4)
-    kwargs = {"structure": structure, "epsilon": eps}
+    if eps <= 0:
+        raise ConfigError(f"{path}.epsilon: must be positive, got {eps}")
     if structure == "scaled_identity":
-        kwargs["lam"] = _get(sec, "lam", path, float)
-        kwargs["n"] = _get(sec, "n", path, int)
+        lam = _get(sec, "lam", path, float)
+        n = _get(sec, "n", path, int)
+        if n < 1:
+            raise ConfigError(f"{path}.n: must be >= 1, got {n}")
+        P = max(lam, eps) * np.eye(n)
     elif structure == "diagonal":
-        kwargs["lam_vec"] = tuple(_get(sec, "lam_vec", path, list))
+        lam = np.array(_get(sec, "lam_vec", path, list[float]))
+        if lam.size < 1:
+            raise ConfigError(f"{path}.lam_vec: expected a nonempty list")
+        P = np.diag(np.maximum(lam, eps))
     elif structure == "tridiagonal":
-        kwargs["lam1"] = tuple(_get(sec, "lam1", path, list))
-        kwargs["lam2"] = tuple(_get(sec, "lam2", path, list))
+        lam1 = np.array(_get(sec, "lam1", path, list[float]))
+        lam2 = np.array(_get(sec, "lam2", path, list[float]))
+        n = lam1.size
+        if n < 1:
+            raise ConfigError(f"{path}.lam1: expected a nonempty list")
+        if lam2.size != n - 1:
+            raise ConfigError(f"{path}.lam2: expected len(lam1) - 1 = {n - 1} entries, got {lam2.size}")
+        Ltri = np.diag(lam1)
+        if n > 1:
+            Ltri += np.diag(lam2, k=-1)
+        P = Ltri @ Ltri.T + eps * np.eye(n)
     elif structure == "full":
-        kwargs["L"] = tuple(map(tuple, array_from_json(_get(sec, "L", path), f"{path}.L")))
+        L = array_from_json(_get(sec, "L", path), f"{path}.L")
+        if L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
+            raise ConfigError(f"{path}.L: expected a nonempty square matrix, got shape {L.shape}")
+        L = np.tril(L)
+        P = L @ L.T + eps * np.eye(L.shape[0])
     else:
         raise ConfigError(f"{path}.structure: unknown structure {structure!r}")
-    try:
-        return CovarianceSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _checked(path, SpdMatrix, 0.5 * (P + P.T))
 
 
 def _parse_loss(sec, n, c_max):
     name = _get(sec, "name", "loss", str)
-    try:
-        if name == "mae":
-            return LossSpec.mae(n, c_max)
-        if name == "ssim":
-            if "tau" not in sec:
-                raise ConfigError(
-                    "loss.tau: the ssim loss requires an explicit Lipschitz constant"
-                )
-            return LossSpec.ssim(_get(sec, "tau", "loss", float))
-    except ValueError as exc:
-        raise ConfigError(f"loss: {exc}") from None
+    if name == "mae":
+        return _checked("loss", LossSpec.mae, n, c_max)
+    if name == "ssim":
+        return _checked("loss", LossSpec.ssim, _get(sec, "tau", "loss", float))
     raise ConfigError(f"loss.name: unknown loss {name!r}")
 
 
@@ -285,7 +314,6 @@ class RunConfig:
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected a JSON object")
-        self.raw = raw
         self.seed = _get(raw, "seed", "", int, required=False, default=0)
         self.model = _parse_model(_section(raw, "model"))
         self.bounds = _parse_bounds(_section(raw, "bounds", required=False))
@@ -296,41 +324,36 @@ class RunConfig:
         self.geb_Ns = _get(geb, "Ns", "geb", int, required=False, default=1000)
         self.eps_conf = _get(geb, "eps_conf", "geb", float, required=False, default=0.05)
         self.ymax_mode = _get(geb, "ymax_mode", "geb", str, required=False, default="noiseless")
-        if not (0.0 < self.eps_conf < 1.0):
-            raise ConfigError(f"geb.eps_conf: must lie in (0, 1), got {self.eps_conf}")
-        if self.geb_Ns < 1:
-            raise ConfigError("geb.Ns: must be >= 1")
+        _checked("geb.eps_conf", _check_eps_conf, self.eps_conf)
+        _checked("geb.Ns", _check_ns, self.geb_Ns)
         if self.ymax_mode not in ("noiseless", "white_noise", "dataset"):
             raise ConfigError(f"geb.ymax_mode: unknown mode {self.ymax_mode!r}")
 
         ds = _section(raw, "dataset", required=False)
         self.dataset_spec = None
         if ds is not None:
-            sigma_u = build_covariance(_parse_cov_spec(_get(ds, "sigma_u", "dataset"), "dataset.sigma_u"))
+            sigma_u = _parse_covariance(_get(ds, "sigma_u", "dataset"), "dataset.sigma_u")
             Ns = _get(ds, "Ns", "dataset", int)
-            if Ns < 1:
-                raise ConfigError("dataset.Ns: must be >= 1")
-            try:
-                self.dataset_spec = CgDataSpec(
-                    model=self.model,
-                    sigma_u=sigma_u,
-                    bounds=self.bounds,
-                    Ns=Ns,
-                    seed=_get(ds, "seed", "dataset", int, required=False, default=self.seed),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"dataset: {exc}") from None
+            _checked("dataset.Ns", _check_ns, Ns)
+            self.dataset_spec = _checked(
+                "dataset", CgDataSpec,
+                model=self.model,
+                sigma_u=sigma_u,
+                bounds=self.bounds,
+                Ns=Ns,
+                seed=_get(ds, "seed", "dataset", int, required=False, default=self.seed),
+            )
 
         ver = _section(raw, "verify", required=False) or {}
-        self.verify_targets = ver.get("targets", "all")
-        if self.verify_targets != "all" and not (
-            isinstance(self.verify_targets, list)
-            and all(isinstance(t, str) and t in TARGETS for t in self.verify_targets)
-        ):
+        targets = ver.get("targets", "all")
+        if targets == "all":
+            targets = sorted(TARGETS)
+        elif not (isinstance(targets, list)
+                  and all(isinstance(t, str) and t in TARGETS for t in targets)):
             raise ConfigError(
-                f"verify.targets: expected 'all' or a list of {sorted(TARGETS)}, "
-                f"got {self.verify_targets!r}"
+                f"verify.targets: expected 'all' or a list of {sorted(TARGETS)}, got {targets!r}"
             )
+        self.verify_targets = targets
         self.verify_trials = _get(ver, "trials", "verify", int, required=False, default=10000)
         self.verify_seed = _get(ver, "seed", "verify", int, required=False, default=self.seed)
         if self.verify_trials < 1:

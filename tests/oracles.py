@@ -4,10 +4,12 @@ These deliberately avoid the package's own code paths: covering counts come
 from an explicit greedy construction, gradients from central finite
 differences, spectral norms from the symmetric eigenproblem of the Gram
 matrix, the regularized solves from a dense normal-equations solve with
-an explicit inverse, the alternating least-squares iteration that the
-networks unroll from the model equations on one measurement at a time, and
-the entropy integral from adaptive-Simpson quadrature. The paper's
-corollary expressions for the two variants' bounds are stated here too.
+an explicit inverse, the alternating objective and its scale gradient
+from dense matrix products, the alternating least-squares iteration that
+the networks unroll from the model equations on one measurement at a
+time, and the entropy integral from adaptive-Simpson quadrature. The
+paper's corollary expressions for the two variants' bounds are stated
+here too.
 """
 
 import math
@@ -57,6 +59,28 @@ def tikhonov_oracle(A, z, y, P):
     return np.linalg.solve(Az.T @ Az + np.linalg.inv(P), Az.T @ y)
 
 
+def cost_oracle(u, z, y, A, P, reg=None):
+    """Alternating objective ``0.5||y - A(z*u)||^2 + 0.5 u^T P^-1 u + R(z)``.
+
+    The covariance term uses an explicit inverse of the dense matrix ``P``.
+    """
+    resid = y - A @ (z * u)
+    value = 0.5 * float(resid @ resid) + 0.5 * float(u @ np.linalg.inv(P) @ u)
+    return value if reg is None else value + float(reg(z))
+
+
+def grad_z_oracle(z, u, y, A, mu):
+    """Scale gradient of the alternating objective.
+
+    Data term ``A_u^T (A_u z - y)`` with ``A_u = A diag(u)`` plus, for the
+    exp scale nonlinearity and ``mu != 0``, the regularizer gradient
+    ``mu * log(z) / z``.
+    """
+    Au = A @ np.diag(u)
+    g = Au.T @ (Au @ z - y)
+    return g if mu == 0.0 else g + mu * np.log(z) / z
+
+
 def _clamp(x, lo, hi):
     return np.array([min(max(xi, lo), hi) for xi in x])
 
@@ -95,13 +119,13 @@ def alternating_ls_oracle(y, A, P, blocks, config):
     u = tikhonov_oracle(A, z, y, P)
     for k in range(config.K):
         for j in range(config.J):
-            Au = A @ np.diag(u)
-            g = Au.T @ (Au @ z - y)
             if config.variant == "cgnet":
                 B, mu = blocks[k][j]
-                z = _clamp(z - B @ _project_ball(g + mu * np.log(z) / z, b.xi), b.a, b.b)
+                g = grad_z_oracle(z, u, y, A, mu)
+                z = _clamp(z - B @ _project_ball(g, b.xi), b.a, b.b)
             else:
                 *weights, delta = blocks[k][j]
+                g = grad_z_oracle(z, u, y, A, 0.0)
                 z = z - delta * _project_ball(g, b.xi) + _relu_chain(weights, z)
             z = _clamp(z, 0.0, b.z_inf)
         u = tikhonov_oracle(A, z, y, P)

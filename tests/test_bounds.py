@@ -311,6 +311,11 @@ class TestLossSpec:
         loss = LossSpec.mae(16, 2.0)
         assert loss.tau == pytest.approx(0.25) and loss.c == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("tau, c", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_rejects_non_finite_constants(self, tau, c):
+        with pytest.raises(ValueError, match="finite"):
+            LossSpec(tau=tau, c=c, name="mae")
+
     def test_ssim_requires_tau(self):
         with pytest.raises(ValueError, match="tau"):
             LossSpec.ssim()
@@ -332,6 +337,8 @@ class TestScaling:
             SweepSpec(axis="ns", values=(10, 1000))
         with pytest.raises(ValueError):
             SweepSpec(axis="depth", values=(1, 10, 100, 1000))
+        with pytest.raises(ValueError, match="integers"):
+            SweepSpec(axis="n", values=(4, 8, 16, 32, 64.5))
         for name, value in (("Ns", 0), ("Ns", 2.5), ("eps_conf", 0.0), ("eps_conf", 1.0)):
             with pytest.raises(ValueError, match=name):
                 SweepSpec(axis="ns", values=(10, 100, 1000, 10000), **{name: value})

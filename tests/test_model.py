@@ -1,26 +1,26 @@
 """Core types, activations, covariance construction, and the solver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cgbound.backend import kernels
 from cgbound.model import (
-    CovarianceSpec,
     MeasurementModel,
     SignalBounds,
     SpdMatrix,
     ball_project,
-    build_covariance,
-    cost_eval,
     mrelu,
     operator_inf_norm,
     spectral_norm,
     tikhonov_solve,
 )
 
-from oracles import random_spd, spectral_norm_oracle, tikhonov_oracle
+from cgbound.serialize import ConfigError, _parse_covariance, array_to_json
+
+from oracles import cost_oracle, random_spd, spectral_norm_oracle, tikhonov_oracle
 
 SEED_MODEL = 0x5EED_0001
 
@@ -157,30 +157,42 @@ class TestSignalBounds:
         with pytest.raises(ValueError):
             SignalBounds(c_max=1.0, z_inf=1.0, xi=1.0, a=2.0, b=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("c_max", math.inf), ("z_inf", math.nan), ("xi", math.nan), ("a", math.nan),
+        ("b", math.inf),
+    ])
+    def test_rejects_non_finite_radii(self, field, value):
+        with pytest.raises(ValueError):
+            replace(SignalBounds.default(), **{field: value})
+
 
 class TestBuildCovariance:
+    """Covariance specs built by the ``dataset.sigma_u`` config reader."""
+
+    @staticmethod
+    def _build(**spec):
+        return _parse_covariance(spec, "dataset.sigma_u")
+
     def test_scaled_identity(self):
-        P = build_covariance(CovarianceSpec("scaled_identity", epsilon=0.1, n=3, lam=2.0))
+        P = self._build(structure="scaled_identity", epsilon=0.1, n=3, lam=2.0)
         np.testing.assert_allclose(P.P, 2.0 * np.eye(3))
 
     def test_diagonal_clamps(self):
-        P = build_covariance(CovarianceSpec("diagonal", epsilon=0.1, lam_vec=(-1.0, 5.0)))
+        P = self._build(structure="diagonal", epsilon=0.1, lam_vec=[-1.0, 5.0])
         np.testing.assert_allclose(P.P, np.diag([0.1, 5.0]))
 
     def test_tridiagonal_identity_factor(self):
-        P = build_covariance(
-            CovarianceSpec("tridiagonal", epsilon=0.01, lam1=(1.0, 1.0), lam2=(0.0,))
-        )
+        P = self._build(structure="tridiagonal", epsilon=0.01, lam1=[1.0, 1.0], lam2=[0.0])
         np.testing.assert_allclose(P.P, 1.01 * np.eye(2))
 
     def test_full_gram(self):
         L = np.array([[1.0, 0.0], [0.5, 2.0]])
-        P = build_covariance(CovarianceSpec("full", epsilon=0.01, L=tuple(map(tuple, L))))
+        P = self._build(structure="full", epsilon=0.01, L=array_to_json(L))
         np.testing.assert_allclose(P.P, L @ L.T + 0.01 * np.eye(2))
 
     def test_wrong_param_lengths(self):
-        with pytest.raises(ValueError):
-            build_covariance(CovarianceSpec("tridiagonal", lam1=(1.0, 1.0), lam2=(0.0, 0.0)))
+        with pytest.raises(ConfigError, match=r"^dataset\.sigma_u\.lam2:"):
+            self._build(structure="tridiagonal", lam1=[1.0, 1.0], lam2=[0.0, 0.0])
 
     def test_min_eigenvalue_floor(self):
         rng = np.random.default_rng(SEED_MODEL)
@@ -188,17 +200,17 @@ class TestBuildCovariance:
         for _ in range(50):
             n = int(rng.integers(1, 7))
             specs = [
-                CovarianceSpec("scaled_identity", epsilon=eps, n=n, lam=float(rng.normal())),
-                CovarianceSpec("diagonal", epsilon=eps, lam_vec=tuple(rng.normal(size=n))),
-                CovarianceSpec(
-                    "tridiagonal", epsilon=eps,
-                    lam1=tuple(rng.normal(size=n)), lam2=tuple(rng.normal(size=n - 1)),
+                dict(structure="scaled_identity", epsilon=eps, n=n, lam=float(rng.normal())),
+                dict(structure="diagonal", epsilon=eps, lam_vec=list(rng.normal(size=n))),
+                dict(
+                    structure="tridiagonal", epsilon=eps,
+                    lam1=list(rng.normal(size=n)), lam2=list(rng.normal(size=n - 1)),
                 ),
-                CovarianceSpec("full", epsilon=eps, L=tuple(map(tuple, rng.normal(size=(n, n))))),
+                dict(structure="full", epsilon=eps, L=array_to_json(rng.normal(size=(n, n)))),
             ]
             for spec in specs:
-                P = build_covariance(spec)
-                assert np.linalg.eigvalsh(P.P)[0] >= eps - 1e-12, spec.structure
+                P = self._build(**spec)
+                assert np.linalg.eigvalsh(P.P)[0] >= eps - 1e-12, spec["structure"]
 
 
 class TestSpectralNorm:
@@ -335,15 +347,13 @@ class TestTikhonovSolve:
 
 class TestCostEval:
     def test_zero_estimate(self):
-        model = MeasurementModel(np.array([[1.0, 1.0]]))
-        P = SpdMatrix(np.eye(2))
-        val = cost_eval(np.zeros(2), np.ones(2), np.array([2.0]), model, P)
+        A = np.array([[1.0, 1.0]])
+        val = cost_oracle(np.zeros(2), np.ones(2), np.array([2.0]), A, np.eye(2))
         assert val == pytest.approx(2.0)
 
     def test_all_terms_vanish(self):
-        model = MeasurementModel(np.array([[1.0, 1.0]]))
-        P = SpdMatrix(np.eye(2))
-        val = cost_eval(np.zeros(2), np.ones(2), np.zeros(1), model, P)
+        A = np.array([[1.0, 1.0]])
+        val = cost_oracle(np.zeros(2), np.ones(2), np.zeros(1), A, np.eye(2))
         assert val == 0.0
 
     def test_term_by_term_recomputation(self):
@@ -353,7 +363,7 @@ class TestCostEval:
         u, z = rng.standard_normal(6), rng.uniform(0.5, 2, size=6)
         y = rng.standard_normal(3)
         reg = lambda zz: 0.25 * float(np.sum(np.log(zz) ** 2))
-        val = cost_eval(u, z, y, model, P, reg=reg)
+        val = cost_oracle(u, z, y, model.A, P.P, reg=reg)
         resid = y - model.A @ (z * u)
         expected = 0.5 * resid @ resid + 0.5 * u @ np.linalg.solve(P.P, u) + reg(z)
         assert val == pytest.approx(expected, rel=1e-12)

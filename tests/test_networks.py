@@ -1,5 +1,8 @@
 """Unrolled forward passes, scale updates, and parameter sampling."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,6 @@ from cgbound.model import (
     NumericalFailure,
     SignalBounds,
     ball_project,
-    cost_eval,
     mrelu,
     spectral_norm,
     tikhonov_solve,
@@ -23,7 +25,6 @@ from cgbound.networks import (
     cgnet_scale_step,
     drcgnet_scale_step,
     forward,
-    grad_z_F,
     parameter_distance,
     sample_covariance,
     sample_parameters,
@@ -33,7 +34,13 @@ from cgbound.networks import (
 from cgbound.report import default_config
 from cgbound.serialize import load_run_config
 
-from oracles import alternating_ls_oracle, central_diff_grad, random_spd
+from oracles import (
+    alternating_ls_oracle,
+    central_diff_grad,
+    cost_oracle,
+    grad_z_oracle,
+    random_spd,
+)
 
 SEED_NET = 0x5EED_0002
 
@@ -65,35 +72,31 @@ class TestGradZ:
         rng = np.random.default_rng(SEED_NET)
         model = _model(rng)
         z = rng.uniform(1, 3, size=8)
-        out = grad_z_F(z, np.zeros(8), rng.standard_normal(4), model, 0.0)
+        out = grad_z_oracle(z, np.zeros(8), rng.standard_normal(4), model.A, 0.0)
         np.testing.assert_allclose(out, np.zeros(8), atol=1e-14)
 
     def test_unit_scale_kills_log_term(self):
         rng = np.random.default_rng(SEED_NET)
         model = _model(rng)
-        out = grad_z_F(np.ones(8), np.zeros(8), rng.standard_normal(4), model, 5.0)
+        out = grad_z_oracle(np.ones(8), np.zeros(8), rng.standard_normal(4), model.A, 5.0)
         np.testing.assert_allclose(out, np.zeros(8), atol=1e-14)
 
     def test_matches_finite_differences(self):
         # gradient of the alternating objective with R(z) = (mu/2)||log z||^2
         rng = np.random.default_rng(SEED_NET)
         model = _model(rng)
-        from cgbound.model import SpdMatrix
-
-        P = SpdMatrix(random_spd(rng, 8))
+        P = random_spd(rng, 8)
         u = rng.standard_normal(8)
         z = rng.uniform(1.2, 2.5, size=8)
         y = rng.standard_normal(4)
         mu = 0.7
         reg = lambda zz: 0.5 * mu * float(np.sum(np.log(zz) ** 2))
-        f = lambda zz: cost_eval(u, zz, y, model, P, reg=reg)
+        f = lambda zz: cost_oracle(u, zz, y, model.A, P, reg=reg)
         fd = central_diff_grad(f, z, h=1e-6)
-        np.testing.assert_allclose(grad_z_F(z, u, y, model, mu), fd, rtol=1e-4)
+        np.testing.assert_allclose(grad_z_oracle(z, u, y, model.A, mu), fd, rtol=1e-4)
 
     def test_domain_error(self):
         model = MeasurementModel(np.eye(2))
-        with pytest.raises(ValueError, match="positive"):
-            grad_z_F(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), model, 1.0)
         # a stack is checked whole: one bad entry in its last row
         z = np.ones((3, 2))
         z[2, 1] = 0.0
@@ -129,7 +132,7 @@ class TestCgnetStep:
         mu = 0.4
         out = cgnet_scale_step(z, u, y, model, B, mu, BOUNDS)
         expected = mrelu(
-            z - B @ ball_project(grad_z_F(z, u, y, model, mu), BOUNDS.xi),
+            z - B @ ball_project(grad_z_oracle(z, u, y, model.A, mu), BOUNDS.xi),
             BOUNDS.a, BOUNDS.b,
         )
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
@@ -396,6 +399,19 @@ class TestNetworkConfig:
     def test_requires_at_least_one_layer(self):
         with pytest.raises(ValueError):
             _cg_config(K=0)
+
+    @pytest.mark.parametrize("make, field, value", [
+        (_cg_config, "p_max", math.inf),
+        (_cg_config, "mu_bound", math.nan),
+        (_cg_config, "mu_bound", math.inf),
+        (_dr_config, "delta", math.nan),
+        (_dr_config, "delta", math.inf),
+        (_dr_config, "weight_bounds", (math.inf,)),
+        (_dr_config, "weight_bounds", (math.nan,)),
+    ], ids=["p_max_inf", "mu_nan", "mu_inf", "delta_nan", "delta_inf", "weight_inf", "weight_nan"])
+    def test_rejects_non_finite_radii(self, make, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(make(), **{field: value})
 
 
 class TestGcgls:

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -23,6 +24,7 @@ from cgbound.serialize import (
     dumps_canonical,
     load_run_config,
 )
+from cgbound.verify import TARGETS
 
 SEED_SER = 0x5EED_0007
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -97,6 +99,7 @@ class TestRunConfig:
         assert cfg.network.variant == "drcgnet"
         assert cfg.loss.name == "mae"
         assert cfg.dataset_spec is not None
+        assert cfg.verify_targets == sorted(TARGETS)
 
     def test_default_config_is_fresh(self):
         # callers mutate the returned dict; the next call must not see it
@@ -152,6 +155,41 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"^model\\.matrix\\.{key}:"):
             load_run_config(cfg)
 
+    @pytest.mark.parametrize("where, value, field", [
+        ("network.K", 2.7, "network.K"),
+        ("network.K", "3", "network.K"),
+        ("geb.Ns", 1.5, "geb.Ns"),
+        ("verify.trials", 2.5, "verify.trials"),
+        ("seed", 3.9, "seed"),
+        ("network.filters", [1.9, 1], "network.filters[0]"),
+        ("network.p_max", "2", "network.p_max"),
+        ("network.delta", math.nan, "network.delta"),
+        ("network.weight_bounds", [math.inf], "network.weight_bounds[0]"),
+        ("network.p_max", math.inf, "network.p_max"),
+        ("bounds", {"c_max": 1.0, "z_inf": 20.0, "xi": math.nan, "a": 1.0, "b": 20.0},
+         "bounds.xi"),
+        ("dataset.sigma_u.lam", math.nan, "dataset.sigma_u.lam"),
+        ("dataset.sigma_u", {"structure": "tridiagonal", "lam1": [1.0] * 8, "lam2": [0.0] * 8},
+         "dataset.sigma_u.lam2"),
+        ("dataset.sigma_u", {"structure": "full", "L": {"shape": [4], "data": [1, 0, 0, 1]}},
+         "dataset.sigma_u.L"),
+    ], ids=["K_fraction", "K_text", "geb_Ns_fraction", "trials_fraction", "seed_fraction",
+            "filters_fraction", "p_max_text", "delta_nan", "weight_bounds_inf", "p_max_inf",
+            "xi_nan", "sigma_u_lam_nan", "sigma_u_lam2_length", "sigma_u_L_shape"])
+    def test_strict_reads_name_their_field(self, tmp_path, capsys, where, value, field):
+        cfg = _small_config()
+        *sections, key = where.split(".")
+        target = cfg
+        for name in sections:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}:"):
+            load_run_config(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound", "--config", str(path)]) == 1
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("targets", ["gram_diff", ["gram_diff", "no_such_target"], [["gram_diff"]]])
     def test_verify_targets_validated(self, tmp_path, capsys, targets):
         cfg = _small_config()
@@ -179,9 +217,12 @@ class TestRunConfig:
         ("geb.Ns", True),
         ("verify.trials", True),
         ("sweep.Ns", True),
+        ("sweep.n_values", [4, 8, 16, 32, 64.5]),
+        ("sweep.kj_values", [4, 16, 64, 256, 1024, 4096.7]),
     ], ids=["gap_Ns", "gap_test_draws", "gap_suite_size", "two_ns_values", "null_seed",
             "sweep_Ns", "sweep_Ns_fraction", "sweep_Ns_text", "sweep_eps_conf",
-            "sweep_eps_conf_text", "geb_Ns_bool", "verify_trials_bool", "sweep_Ns_bool"])
+            "sweep_eps_conf_text", "geb_Ns_bool", "verify_trials_bool", "sweep_Ns_bool",
+            "n_values_fraction", "kj_values_fraction"])
     def test_report_rejects_before_any_suite(self, tmp_path, capsys, field, value):
         cfg = _small_config()
         *section, key = field.split(".")
@@ -211,6 +252,11 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["all_hold"] is True
+
+    def test_verify_all_mixed_with_a_target(self, capsys):
+        rc = main(["verify", "--target", "all", "--target", "gram_diff", "--trials", "2"])
+        assert rc == 0
+        assert [r["target"] for r in json.loads(capsys.readouterr().out)] == sorted(TARGETS)
 
     def test_bound_emits_json_and_table(self, capsys):
         rc = main(["bound", "--config", "default"])
@@ -395,7 +441,10 @@ class TestParameterSerialization:
         ((0, 0, 1), [0.1], "params.blocks[1][1][2]"),
         ((0, 0, 1), None, "params.blocks[1][1][2]"),
         ((1,), 3, "params.blocks[2]"),
-    ], ids=["list_for_scalar", "null_for_scalar", "int_for_row"])
+        ((0, 0, 1), "0.1", "params.blocks[1][1][2]"),
+        ((0, 0, 1), math.nan, "params.blocks[1][1][2]"),
+    ], ids=["list_for_scalar", "null_for_scalar", "int_for_row", "text_for_scalar",
+            "nan_for_scalar"])
     def test_malformed_blocks_name_their_path(self, tmp_path, capsys, where, value, field):
         from cgbound.networks import sample_parameters
         from cgbound.serialize import parameters_from_json, parameters_to_json
