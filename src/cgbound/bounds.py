@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lipschitz import network_constants
+from .lipschitz import _logaddexp, network_constants
 from .model import MeasurementModel
 
 __all__ = [
@@ -198,24 +198,20 @@ def covering_log_bound(omega, alpha, eps):
     return alpha * math.log1p(2.0 * omega / eps)
 
 
-def _log_factor(log_coeff, log_kappa):
-    # ln(e * (1 + coeff * kappa)) evaluated from logs, stable for huge kappa
-    return 1.0 + np.logaddexp(0.0, log_coeff + log_kappa)
-
-
 def dudley_closed_form(beta, nu):
     """Closed-form upper bound ``beta * sqrt(ln(e*(1 + nu/beta)))``.
 
     Dominates ``integral_0^beta sqrt(ln(1 + nu/eps)) d eps`` for every
-    nu >= 0, beta > 0. Evaluated by the same log-domain factor that
-    :func:`geb_bound` applies to each covering block.
+    nu >= 0, beta > 0. Evaluated by the same log-domain factor
+    ``1 + logaddexp(0, log coeff + log kappa)`` that :func:`geb_bound`
+    applies to each covering block.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     log_ratio = math.log(nu) - math.log(beta) if nu > 0 else -math.inf
-    return beta * math.sqrt(_log_factor(log_ratio, 0.0))
+    return beta * math.sqrt(1.0 + _logaddexp(0.0, log_ratio))
 
 
 def ymax_estimate(model, c_max, mode, dataset=None):
@@ -251,7 +247,9 @@ def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
     Returns ``(constants, dim_P, alphas, omegas, KJD + 1, sums)``, where
     ``sums`` holds the covariance, matrix-block and scalar-block entropy sums
     that term2 scales. ``empirical_loss`` is only checked, in the order
-    :func:`geb_bound` checks its inputs.
+    :func:`geb_bound` checks its inputs. Each covering block enters through
+    ``ln(e * (1 + coeff * kappa)) = 1 + logaddexp(0, log coeff + log kappa)``,
+    stable for huge kappa.
     """
     _check_eps_conf(eps_conf)
     if not (math.isfinite(y_max) and y_max >= 0):
@@ -266,19 +264,18 @@ def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
     kjd1 = config.K * config.J * config.D + 1
     dim_p = dim_cov(config.cov_structure, config.n)
 
-    cov_factor = _log_factor(math.log(4.0 * config.p_max * kjd1 / c_max), cns.log_kappa)
+    cov_factor = 1.0 + _logaddexp(0.0, math.log(4.0 * config.p_max * kjd1 / c_max) + cns.log_kappa)
     term2_cov = math.sqrt(dim_p * cov_factor)
 
     dims = config.parameter_dims()
-    alphas = np.array([a for a, _ in dims], dtype=np.float64)
-    omegas = np.array([w for _, w in dims], dtype=np.float64)
-    log_coeffs = np.log(4.0 * omegas * kjd1 / c_max)
-    factors = _log_factor(log_coeffs[None, None, :], cns.log_kappa_kdj)  # (K, J, D)
-    block_sums = np.sqrt(alphas[None, None, :] * factors).sum(axis=(0, 1))  # per d
+    alphas, omegas = np.array(dims, dtype=np.float64).T
+    log_coeffs = np.log([4.0 * w * kjd1 / c_max for _, w in dims])
+    factors = 1.0 + np.logaddexp(0.0, log_coeffs + cns.log_kappa_kdj)  # (K, J, D)
+    block_sums = np.add.reduce(np.sqrt(alphas * factors), axis=(0, 1))  # per d
 
     is_matrix = alphas > 1.5  # scalar blocks have dimension 1
-    term2_weights = float(block_sums[is_matrix].sum())
-    term2_scalars = float(block_sums[~is_matrix].sum())
+    term2_weights = float(np.add.reduce(block_sums[is_matrix]))
+    term2_scalars = float(np.add.reduce(block_sums[~is_matrix]))
     return cns, dim_p, alphas, omegas, kjd1, (term2_cov, term2_weights, term2_scalars)
 
 
@@ -290,20 +287,10 @@ def _ns_terms(config, loss, sums, Ns, eps_conf):
     return scale, term2, term3
 
 
-def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):
-    """Assemble the three-term generalization bound.
-
-    term1 is the supplied empirical loss; term2 the complexity block
-    ``8 * tau * c_max / sqrt(Ns)`` times the covering-entropy sum over the
-    covariance ball and every per-step parameter ball; term3 the confidence
-    block ``4 * c * sqrt(2 * ln(4 / eps_conf) / Ns)``. The network constants
-    and the entropy sum do not depend on ``Ns``; only the two scale factors do.
-    """
-    _check_ns(Ns)
-    cns, dim_p, alphas, omegas, kjd1, sums = _entropy(
-        config, model, eps_conf, y_max, empirical_loss)
+def _report(config, loss, Ns, eps_conf, y_max, empirical_loss, entropy):
+    """The :class:`BoundReport` at ``Ns`` from the Ns-free ``entropy``."""
+    cns, dim_p, alphas, omegas, kjd1, sums = entropy
     scale, term2, term3 = _ns_terms(config, loss, sums, Ns, eps_conf)
-
     return BoundReport(
         term1=float(empirical_loss),
         term2=float(term2),
@@ -318,13 +305,27 @@ def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):
             "eps_conf": float(eps_conf),
             "y_max": float(y_max),
             "dim_P": int(dim_p),
-            "alphas": [float(a) for a in alphas],
-            "omegas": [float(w) for w in omegas],
+            "alphas": alphas.tolist(),
+            "omegas": omegas.tolist(),
             "tau": float(loss.tau),
             "c": float(loss.c),
             "KJD_plus_1": int(kjd1),
         },
     )
+
+
+def geb_bound(config, model, loss, Ns, eps_conf, y_max, empirical_loss=0.0):
+    """Assemble the three-term generalization bound.
+
+    term1 is the supplied empirical loss; term2 the complexity block
+    ``8 * tau * c_max / sqrt(Ns)`` times the covering-entropy sum over the
+    covariance ball and every per-step parameter ball; term3 the confidence
+    block ``4 * c * sqrt(2 * ln(4 / eps_conf) / Ns)``. The network constants
+    and the entropy sum do not depend on ``Ns``; only the two scale factors do.
+    """
+    _check_ns(Ns)
+    entropy = _entropy(config, model, eps_conf, y_max, empirical_loss)
+    return _report(config, loss, Ns, eps_conf, y_max, empirical_loss, entropy)
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +344,29 @@ def _factor_kj(v):
 
 
 def sweep_bound(config, model, loss, spec):
-    """Evaluate the bound along one axis; rows of (axis, report, r)."""
+    """Evaluate the bound along one axis; rows of (axis, report, r).
+
+    Along ``ns`` only the sample count changes, so the Ns-free entropy is
+    assembled once and each row applies the Ns-dependent factors to it, by
+    the helper :func:`geb_bound` uses.
+    """
+    if spec.axis == "ns":
+        y_max = ymax_estimate(model, config.bounds.c_max, "noiseless")
+        entropy = _entropy(config, model, spec.eps_conf, y_max)
+        r = norm_log_sum(model, y_max)
+        return [(float(v), _report(config, loss, int(v), spec.eps_conf, y_max, 0.0, entropy), r)
+                for v in spec.values]
     rows = []
     for v in spec.values:
-        cfg, mdl, lss, Ns = config, model, loss, spec.Ns
         if spec.axis == "n":
             cfg = replace(config, n=int(v))
             mdl = _sweep_model(cfg.n)
-            if loss.name == "mae":
-                lss = LossSpec.mae(cfg.n, cfg.bounds.c_max)
-        elif spec.axis == "kj":
+            lss = LossSpec.mae(cfg.n, cfg.bounds.c_max) if loss.name == "mae" else loss
+        else:  # kj
             K, J = _factor_kj(int(v))
-            cfg = replace(config, K=K, J=J)
-        else:  # ns
-            Ns = int(v)
+            cfg, mdl, lss = replace(config, K=K, J=J), model, loss
         y_max = ymax_estimate(mdl, cfg.bounds.c_max, "noiseless")
-        rep = geb_bound(cfg, mdl, lss, Ns, spec.eps_conf, y_max)
+        rep = geb_bound(cfg, mdl, lss, spec.Ns, spec.eps_conf, y_max)
         rows.append((float(v), rep, norm_log_sum(mdl, y_max)))
     return rows
 

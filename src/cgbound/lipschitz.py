@@ -48,13 +48,34 @@ def _safe_log(x):
 
 
 def _logsumexp(values):
-    values = np.asarray(values, dtype=np.float64)
+    """``log(sum(exp(values)))`` of a float64 array, shifted by its maximum."""
     if values.size == 1:  # the exp/log round trip below returns v + 0.0 exactly
         return float(values[0] + 0.0)
-    hi = values.max()
+    hi = np.maximum.reduce(values)
     if hi == -math.inf:
         return -math.inf
-    return float(hi + np.log(np.exp(values - hi).sum()))
+    return float(hi + np.log(np.add.reduce(np.exp(values - hi))))
+
+
+_LN2 = math.log(2.0)
+
+
+def _logaddexp(x, y):
+    """``np.logaddexp`` of two floats, by numpy's own formula on libm calls.
+
+    Equal arguments (equal infinities included) give ``x + ln 2``; otherwise
+    the larger one plus ``log1p(exp(-|x - y|))``; a NaN difference is
+    returned as is. numpy's loop calls the same ``log1p`` and ``exp``, so the
+    two agree bit for bit, without numpy's dispatch on a scalar.
+    """
+    if x == y:
+        return x + _LN2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d
 
 
 @dataclass(frozen=True)
@@ -210,20 +231,22 @@ def _assemble(config, c1, c2, rc, kappa_prefactor):
     log_r2 = _safe_log(rc.r2)
     log_c1 = _safe_log(c1)
     log_c2 = _safe_log(c2)
-    exps = np.arange(J - 1, -1, -1, dtype=np.float64)  # J - j for j = 1..J
+    # (J - j) * log r1 for j = 1..J
+    log_r1_pows = np.arange(J - 1, -1, -1, dtype=np.float64) * log_r1
     log_rhat1 = J * log_r1
-    log_rhat2 = log_r2 + _logsumexp(exps * log_r1)
+    log_rhat2 = log_r2 + _logsumexp(log_r1_pows)
     log_r3 = np.array([_safe_log(r) for r in rc.r3])
-    log_rhat3 = exps[:, None] * log_r1 + log_r3[None, :]  # (J, D)
+    log_rhat3 = log_r1_pows[:, None] + log_r3  # (J, D)
 
-    # per-layer growth factor r_hat1 + r_hat2 * c1, chained over layers above k
-    log_q = np.logaddexp(log_rhat1, log_rhat2 + log_c1)
-    tail = np.arange(K - 1, -1, -1, dtype=np.float64)  # K - k for k = 1..K
-    log_chat1 = log_c2 + log_rhat2 + _logsumexp(tail * log_q)
-    log_chat2 = tail[:, None, None] * log_q + log_rhat3[None, :, :]  # (K, J, D)
+    # per-layer growth factor r_hat1 + r_hat2 * c1, chained over layers above k:
+    # (K - k) * log q for k = 1..K
+    log_q = _logaddexp(log_rhat1, log_rhat2 + log_c1)
+    log_q_pows = np.arange(K - 1, -1, -1, dtype=np.float64) * log_q
+    log_chat1 = log_c2 + log_rhat2 + _logsumexp(log_q_pows)
+    log_chat2 = log_q_pows[:, None, None] + log_rhat3  # (K, J, D)
 
     log_pref = _safe_log(kappa_prefactor)
-    log_kappa = np.logaddexp(log_pref + log_chat1, _safe_log(config.bounds.z_inf * c2))
+    log_kappa = _logaddexp(log_pref + log_chat1, _safe_log(config.bounds.z_inf * c2))
     log_kappa_kdj = log_pref + log_chat2
 
     return AggregateConstants(
@@ -234,9 +257,44 @@ def _assemble(config, c1, c2, rc, kappa_prefactor):
         log_rhat3=log_rhat3,
         log_chat1=log_chat1,
         log_chat2=log_chat2,
-        log_kappa=float(log_kappa),
+        log_kappa=log_kappa,
         log_kappa_kdj=log_kappa_kdj,
     )
+
+
+def _chain(config, model, y_norm, exact=None):
+    """``_assemble`` of the Tikhonov, step and prefactor constants.
+
+    Worst case over the covariance ball and the radius-``y_norm`` measurement
+    ball, or, with ``exact = (P, P_tilde, y_inf)``, for that pair and a
+    measurement of 2-norm ``y_norm`` and max-norm ``y_inf``. A constant that
+    overflows or is not finite raises a ValueError naming ``y_norm`` and the
+    model's norms, so it never reaches the logs as ``inf`` and the bound as
+    NaN.
+    """
+    z_inf = config.bounds.z_inf
+    try:
+        if exact is None:
+            p_max = p_max_tilde = config.p_max
+            cond = (p_max / config.p_min) ** 2
+            pref_y = p_max * y_norm * model.norm_inf
+        else:
+            P, P_tilde, y_inf = exact
+            p_max, p_max_tilde, cond = P.p_max, P_tilde.p_max, P.cond * P_tilde.cond
+            pref_y = p_max * model.norm_inf * y_inf
+        c1, c2 = tikhonov_constants(y_norm, z_inf, p_max, p_max_tilde, cond, model)
+        rc = step_constants(config, model, y_norm)
+        pref = z_inf * (c1 + pref_y)
+        finite = all(map(math.isfinite, (c1, c2, rc.r1, rc.r2, *rc.r3, pref)))
+    except OverflowError:  # a float ``**`` out of range
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"the network constants overflow float64 at y_max = {y_norm!r} with "
+            f"||A||_2 = {model.norm2!r}, ||A||_inf = {model.norm_inf!r}, "
+            f"p_min = {config.p_min!r} and p_max = {config.p_max!r}"
+        )
+    return _assemble(config, c1, c2, rc, pref)
 
 
 def network_constants(config, model, y_max):
@@ -246,12 +304,7 @@ def network_constants(config, model, y_max):
     measurement ball, matching the constants that enter the generalization
     bound.
     """
-    b = config.bounds
-    p_max = config.p_max
-    c1, c2 = tikhonov_constants(y_max, b.z_inf, p_max, p_max, (p_max / config.p_min) ** 2, model)
-    rc = step_constants(config, model, y_max)
-    pref = b.z_inf * (c1 + p_max * y_max * model.norm_inf)
-    return _assemble(config, c1, c2, rc, pref)
+    return _chain(config, model, y_max)
 
 
 def network_constants_exact(config, model, y, P, P_tilde):
@@ -262,10 +315,5 @@ def network_constants_exact(config, model, y, P, P_tilde):
     per-step constants still range over the parameter balls.
     """
     y = np.asarray(y, dtype=np.float64)
-    y2 = float(np.linalg.norm(y))
     y_inf = float(np.abs(y).max()) if y.size else 0.0
-    b = config.bounds
-    c1, c2 = tikhonov_constants(y2, b.z_inf, P.p_max, P_tilde.p_max, P.cond * P_tilde.cond, model)
-    rc = step_constants(config, model, y2)
-    pref = b.z_inf * (c1 + P.p_max * model.norm_inf * y_inf)
-    return _assemble(config, c1, c2, rc, pref)
+    return _chain(config, model, float(np.linalg.norm(y)), (P, P_tilde, y_inf))

@@ -109,12 +109,7 @@ def array_from_json(obj, path="array"):
             and all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape)):
         raise ConfigError(f"{path}.shape: expected a list of nonnegative integers, got {shape!r}")
     shape = tuple(shape)
-    try:
-        data = np.asarray(obj["data"], dtype=np.float64)
-        if not np.isfinite(data).all():
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.data: expected a list of finite numbers") from None
+    data = np.array(_typed(obj["data"], list[float], f"{path}.data"), dtype=np.float64)
     if data.size != int(np.prod(shape)):
         raise ConfigError(f"{path}: data length {data.size} does not match shape {shape}")
     return data.reshape(shape)
@@ -199,6 +194,9 @@ def _get(sec, key, path, kind=None, required=True, default=None):
 def _parse_model(sec):
     m = _get(sec, "m", "model", int)
     n = _get(sec, "n", "model", int)
+    for key, size in (("m", m), ("n", n)):
+        if size < 1:
+            raise ConfigError(f"model.{key}: must be >= 1, got {size}")
     sigma = _get(sec, "sigma", "model", float, required=False, default=0.0)
     mat = _get(sec, "matrix", "model")
     if isinstance(mat, dict) and "generator" in mat:
@@ -258,45 +256,54 @@ def _parse_covariance(sec, path):
     The scaled-identity and diagonal constructions clamp their entries
     below by ``epsilon``; the Gram constructions add ``epsilon * I`` to a
     lower-triangular product, so the smallest eigenvalue is at least
-    ``epsilon`` in every case.
+    ``epsilon`` in every case. A matrix that overflows float64 is rejected
+    with the field it was built from.
     """
     sec = _typed(sec, dict, path)
     structure = _get(sec, "structure", path, str)
     eps = _get(sec, "epsilon", path, float, required=False, default=1e-4)
     if eps <= 0:
         raise ConfigError(f"{path}.epsilon: must be positive, got {eps}")
-    if structure == "scaled_identity":
-        lam = _get(sec, "lam", path, float)
-        n = _get(sec, "n", path, int)
-        if n < 1:
-            raise ConfigError(f"{path}.n: must be >= 1, got {n}")
-        P = max(lam, eps) * np.eye(n)
-    elif structure == "diagonal":
-        lam = np.array(_get(sec, "lam_vec", path, list[float]))
-        if lam.size < 1:
-            raise ConfigError(f"{path}.lam_vec: expected a nonempty list")
-        P = np.diag(np.maximum(lam, eps))
-    elif structure == "tridiagonal":
-        lam1 = np.array(_get(sec, "lam1", path, list[float]))
-        lam2 = np.array(_get(sec, "lam2", path, list[float]))
-        n = lam1.size
-        if n < 1:
-            raise ConfigError(f"{path}.lam1: expected a nonempty list")
-        if lam2.size != n - 1:
-            raise ConfigError(f"{path}.lam2: expected len(lam1) - 1 = {n - 1} entries, got {lam2.size}")
-        Ltri = np.diag(lam1)
-        if n > 1:
-            Ltri += np.diag(lam2, k=-1)
-        P = Ltri @ Ltri.T + eps * np.eye(n)
-    elif structure == "full":
-        L = array_from_json(_get(sec, "L", path), f"{path}.L")
-        if L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
-            raise ConfigError(f"{path}.L: expected a nonempty square matrix, got shape {L.shape}")
-        L = np.tril(L)
-        P = L @ L.T + eps * np.eye(L.shape[0])
-    else:
-        raise ConfigError(f"{path}.structure: unknown structure {structure!r}")
-    return _checked(path, SpdMatrix, 0.5 * (P + P.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, naming the field
+        if structure == "scaled_identity":
+            field = "lam"
+            lam = _get(sec, "lam", path, float)
+            n = _get(sec, "n", path, int)
+            if n < 1:
+                raise ConfigError(f"{path}.n: must be >= 1, got {n}")
+            P = max(lam, eps) * np.eye(n)
+        elif structure == "diagonal":
+            field = "lam_vec"
+            lam = np.array(_get(sec, "lam_vec", path, list[float]))
+            if lam.size < 1:
+                raise ConfigError(f"{path}.lam_vec: expected a nonempty list")
+            P = np.diag(np.maximum(lam, eps))
+        elif structure == "tridiagonal":
+            field = "lam1/lam2"
+            lam1 = np.array(_get(sec, "lam1", path, list[float]))
+            lam2 = np.array(_get(sec, "lam2", path, list[float]))
+            n = lam1.size
+            if n < 1:
+                raise ConfigError(f"{path}.lam1: expected a nonempty list")
+            if lam2.size != n - 1:
+                raise ConfigError(f"{path}.lam2: expected len(lam1) - 1 = {n - 1} entries, got {lam2.size}")
+            Ltri = np.diag(lam1)
+            if n > 1:
+                Ltri += np.diag(lam2, k=-1)
+            P = Ltri @ Ltri.T + eps * np.eye(n)
+        elif structure == "full":
+            field = "L"
+            L = array_from_json(_get(sec, "L", path), f"{path}.L")
+            if L.ndim != 2 or L.shape[0] != L.shape[1] or L.size == 0:
+                raise ConfigError(f"{path}.L: expected a nonempty square matrix, got shape {L.shape}")
+            L = np.tril(L)
+            P = L @ L.T + eps * np.eye(L.shape[0])
+        else:
+            raise ConfigError(f"{path}.structure: unknown structure {structure!r}")
+        P = 0.5 * (P + P.T)
+    if not np.isfinite(P).all():
+        raise ConfigError(f"{path}.{field}: entries too large, the matrix overflows float64")
+    return _checked(path, SpdMatrix, P)
 
 
 def _parse_loss(sec, n, c_max):

@@ -9,12 +9,18 @@ from dense matrix products, the alternating least-squares iteration that
 the networks unroll from the model equations on one measurement at a
 time, and the entropy integral from adaptive-Simpson quadrature. The
 paper's corollary expressions for the two variants' bounds are stated
-here too.
+here too, and so is a reference assembly of the bound's log-domain
+constants, entropy sums and sample complexity that does every scalar
+step through numpy (``np.logaddexp`` on scalars, ``ndarray.max``/``sum``)
+from the package's own Tikhonov and step constants.
 """
 
 import math
 
 import numpy as np
+
+from cgbound.bounds import dim_cov
+from cgbound.lipschitz import step_constants, tikhonov_constants
 
 
 def greedy_cover_count(points, eps, norm=None):
@@ -182,3 +188,130 @@ def cor1_comparator(n, m, network_size, Ns):
 def cor2_comparator(n, m, network_size, Ns):
     """Dominant scaling expression of the learned-regularizer network's bound."""
     return math.sqrt(network_size**3 * (math.log(m) + math.log(n)) / Ns)
+
+
+# ---------------------------------------------------------------------------
+# reference assembly of the bound, every scalar step through numpy
+# ---------------------------------------------------------------------------
+
+def _safe_log(x):
+    return -math.inf if x == 0.0 else math.log(x)
+
+
+def _logsumexp_ref(values):
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 1:
+        return float(values[0] + 0.0)
+    hi = values.max()
+    if hi == -math.inf:
+        return -math.inf
+    return float(hi + np.log(np.exp(values - hi).sum()))
+
+
+def _log_factor_ref(log_coeff, log_kappa):
+    return 1.0 + np.logaddexp(0.0, log_coeff + log_kappa)
+
+
+def assemble_oracle(config, c1, c2, rc, kappa_prefactor):
+    """The chained log constants of ``lipschitz._assemble``, as a dict."""
+    K, J = config.K, config.J
+    log_r1 = _safe_log(rc.r1)
+    log_r2 = _safe_log(rc.r2)
+    exps = np.arange(J - 1, -1, -1, dtype=np.float64)
+    log_rhat1 = J * log_r1
+    log_rhat2 = log_r2 + _logsumexp_ref(exps * log_r1)
+    log_r3 = np.array([_safe_log(r) for r in rc.r3])
+    log_rhat3 = exps[:, None] * log_r1 + log_r3[None, :]
+    log_q = np.logaddexp(log_rhat1, log_rhat2 + _safe_log(c1))
+    tail = np.arange(K - 1, -1, -1, dtype=np.float64)
+    log_chat1 = _safe_log(c2) + log_rhat2 + _logsumexp_ref(tail * log_q)
+    log_chat2 = tail[:, None, None] * log_q + log_rhat3[None, :, :]
+    log_pref = _safe_log(kappa_prefactor)
+    log_kappa = np.logaddexp(log_pref + log_chat1, _safe_log(config.bounds.z_inf * c2))
+    return {
+        "c1": c1, "c2": c2, "log_rhat1": log_rhat1, "log_rhat2": log_rhat2,
+        "log_rhat3": log_rhat3, "log_chat1": log_chat1, "log_chat2": log_chat2,
+        "log_kappa": float(log_kappa), "log_kappa_kdj": log_pref + log_chat2,
+    }
+
+
+def network_constants_oracle(config, model, y_max):
+    """Worst-case constants over the parameter balls and the y_max ball."""
+    b, p_max = config.bounds, config.p_max
+    c1, c2 = tikhonov_constants(y_max, b.z_inf, p_max, p_max, (p_max / config.p_min) ** 2, model)
+    rc = step_constants(config, model, y_max)
+    return assemble_oracle(config, c1, c2, rc, b.z_inf * (c1 + p_max * y_max * model.norm_inf))
+
+
+def network_constants_exact_oracle(config, model, y, P, P_tilde):
+    """Instance-exact constants for one measurement and covariance pair."""
+    b = config.bounds
+    y2 = float(np.linalg.norm(y))
+    y_inf = float(np.abs(y).max())
+    c1, c2 = tikhonov_constants(y2, b.z_inf, P.p_max, P_tilde.p_max, P.cond * P_tilde.cond, model)
+    rc = step_constants(config, model, y2)
+    return assemble_oracle(config, c1, c2, rc, b.z_inf * (c1 + P.p_max * model.norm_inf * y_inf))
+
+
+def _entropy_ref(config, model, y_max):
+    cns = network_constants_oracle(config, model, y_max)
+    c_max = config.bounds.c_max
+    kjd1 = config.K * config.J * config.D + 1
+    dim_p = dim_cov(config.cov_structure, config.n)
+    term2_cov = math.sqrt(dim_p * _log_factor_ref(
+        math.log(4.0 * config.p_max * kjd1 / c_max), cns["log_kappa"]))
+    dims = config.parameter_dims()
+    alphas = np.array([a for a, _ in dims], dtype=np.float64)
+    omegas = np.array([w for _, w in dims], dtype=np.float64)
+    log_coeffs = np.log(4.0 * omegas * kjd1 / c_max)
+    factors = _log_factor_ref(log_coeffs[None, None, :], cns["log_kappa_kdj"])
+    block_sums = np.sqrt(alphas[None, None, :] * factors).sum(axis=(0, 1))
+    is_matrix = alphas > 1.5
+    sums = (term2_cov, float(block_sums[is_matrix].sum()), float(block_sums[~is_matrix].sum()))
+    return cns, dim_p, alphas, omegas, kjd1, sums
+
+
+def _ns_terms_ref(config, loss, sums, Ns, eps_conf):
+    scale = 8.0 * loss.tau * config.bounds.c_max / math.sqrt(Ns)
+    term2 = scale * (sums[0] + sums[1] + sums[2])
+    term3 = 4.0 * loss.c * math.sqrt(2.0 * math.log(4.0 / eps_conf) / Ns)
+    return scale, term2, term3
+
+
+def geb_oracle(config, model, loss, Ns, eps_conf, y_max):
+    """``(terms, constants)``: the bound's terms and inputs as in
+    ``BoundReport.to_dict`` without its ``constants``, and the log constants."""
+    cns, dim_p, alphas, omegas, kjd1, sums = _entropy_ref(config, model, y_max)
+    scale, term2, term3 = _ns_terms_ref(config, loss, sums, Ns, eps_conf)
+    terms = {
+        "term1": 0.0, "term2": float(term2), "term3": float(term3),
+        "total": float(0.0 + term2 + term3), "term2_cov": float(scale * sums[0]),
+        "term2_weights": float(scale * sums[1]), "term2_scalars": float(scale * sums[2]),
+        "inputs": {
+            "Ns": int(Ns), "eps_conf": float(eps_conf), "y_max": float(y_max),
+            "dim_P": int(dim_p), "alphas": [float(a) for a in alphas],
+            "omegas": [float(w) for w in omegas], "tau": float(loss.tau),
+            "c": float(loss.c), "KJD_plus_1": int(kjd1),
+        },
+    }
+    return terms, cns
+
+
+def sample_complexity_oracle(config, model, loss, gap, eps_conf, y_max):
+    """Smallest Ns whose term2 + term3 is <= gap: the closed form
+    ``ceil((block(1) / gap)^2)`` settled by integer steps."""
+    sums = _entropy_ref(config, model, y_max)[-1]
+
+    def block(ns):
+        _, term2, term3 = _ns_terms_ref(config, loss, sums, ns, eps_conf)
+        return term2 + term3
+
+    if block(1) <= gap:
+        return 1
+    ratio = block(1) / gap
+    ns = math.ceil(ratio * ratio)
+    while block(ns) > gap:
+        ns += 1
+    while block(ns - 1) <= gap:
+        ns -= 1
+    return ns

@@ -1,6 +1,8 @@
 """Bound assembly, entropy-integral bound, covering counts, and scaling."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +19,22 @@ from cgbound.bounds import (
     scaling_fit,
     ymax_estimate,
 )
+from cgbound.lipschitz import network_constants, network_constants_exact
 from cgbound.model import MeasurementModel, SignalBounds
-from cgbound.networks import NetworkConfig
-from cgbound.report import scaling_study_specs
+from cgbound.networks import NetworkConfig, sample_covariance
+from cgbound.report import default_config, scaling_study_specs
+from cgbound.serialize import load_run_config
 
-from oracles import cor1_comparator, cor2_comparator, dudley_integral_quad, greedy_cover_count
+from oracles import (
+    cor1_comparator,
+    cor2_comparator,
+    dudley_integral_quad,
+    geb_oracle,
+    greedy_cover_count,
+    network_constants_exact_oracle,
+    network_constants_oracle,
+    sample_complexity_oracle,
+)
 
 SEED_GEB = 0x5EED_0004
 
@@ -343,6 +356,30 @@ class TestScaling:
             with pytest.raises(ValueError, match=name):
                 SweepSpec(axis="ns", values=(10, 100, 1000, 10000), **{name: value})
 
+    @pytest.mark.parametrize("variant", ["default", "cgnet"])
+    def test_ns_rows_equal_geb_bound(self, variant):
+        cfg, mdl, spec, loss = scaling_study_specs({})["ns"]
+        if variant == "cgnet":
+            cfg = _cg_config(n=cfg.n, K=3, J=2)
+        rows = bounds.sweep_bound(cfg, mdl, loss, spec)
+        y_max = ymax_estimate(mdl, cfg.bounds.c_max, "noiseless")
+        assert [v for v, _, _ in rows] == [float(v) for v in spec.values]
+        for v, rep, r in rows:
+            want = geb_bound(cfg, mdl, loss, int(v), spec.eps_conf, y_max)
+            assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
+            assert r.hex() == bounds.norm_log_sum(mdl, y_max).hex()
+
+    def test_ns_sweep_assembles_constants_once(self, monkeypatch):
+        cfg, mdl, spec, loss = scaling_study_specs({})["ns"]
+        calls = {"network_constants": 0, "geb_bound": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(bounds, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(bounds, name, counted)
+        assert len(bounds.sweep_bound(cfg, mdl, loss, spec)) == len(spec.values)
+        assert calls == {"network_constants": 1, "geb_bound": 0}
+
     def test_r_diagnostic_present(self):
         studies = scaling_study_specs({})
         cfg, mdl, spec, loss = studies["kj"]
@@ -441,3 +478,103 @@ class TestSampleComplexity:
         model = MeasurementModel(FROZEN_A[:, :n])
         with pytest.raises(ValueError, match=match):
             sample_complexity(_dr_config(), model, self.LOSS, 0.5, eps_conf, y_max)
+
+
+def _same(a, b):
+    """Bitwise equality of two floats or two float arrays."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    return type(a) is float and type(b) is float and a.hex() == b.hex()
+
+
+def _random_case(rng, i):
+    """A random (config, model, y_max) with K*J from 1 up to 4096."""
+    K, J = ((1, 1), (64, 64), (1, 64), (64, 1))[i] if i < 4 else tuple(
+        int(v) for v in rng.choice([1, 2, 3, 5, 8, 9, 13, 16, 31, 64], size=2))
+    n = int(rng.integers(2, 12))
+    sb = SignalBounds.default()
+    p_min = float(rng.uniform(0.1, 1.0))
+    p_max = p_min * float(rng.uniform(1.0, 8.0))
+    if i % 2:
+        config = NetworkConfig(variant="cgnet", n=n, K=K, J=J, bounds=sb, p_min=p_min,
+                               p_max=p_max, mu_bound=float(rng.uniform(0.0, 2.0)))
+    else:
+        Lc = int(rng.integers(1, 10))
+        config = NetworkConfig(
+            variant="drcgnet", n=n, K=K, J=J, bounds=sb, p_min=p_min, p_max=p_max, Lc=Lc,
+            filters=(1,) + tuple(int(v) for v in rng.integers(1, 4, size=Lc - 1)) + (1,),
+            kernels=tuple(int(v) for v in rng.integers(1, 6, size=Lc)),
+            weight_bounds=tuple(float(v) for v in rng.uniform(0.2, 1.5, size=Lc)),
+            delta=float(rng.uniform(0.0, 1.0)),
+        )
+    model = MeasurementModel(rng.standard_normal((int(rng.integers(1, 7)), n))
+                             * 10.0 ** rng.uniform(-2.0, 2.0))
+    y_max = 0.0 if i == 5 else ymax_estimate(model, sb.c_max, "noiseless") * float(rng.uniform(0.5, 2.0))
+    return config, model, y_max
+
+
+class TestReferenceAssembly:
+    """The float-path assembly gives the bits of the numpy-scalar reference
+    in tests/oracles.py: constants, bound, and sample complexity."""
+
+    CASES = 48
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = np.random.default_rng(SEED_GEB + 5)
+        cases = [_random_case(rng, i) for i in range(self.CASES)]
+        kj = {config.K * config.J for config, _, _ in cases}
+        assert min(kj) == 1 and max(kj) == 4096 and len(kj) > 10
+        return cases
+
+    def test_network_constants(self, cases):
+        rng = np.random.default_rng(SEED_GEB + 6)
+        for config, model, y_max in cases:
+            for cns, want in (
+                (network_constants(config, model, y_max),
+                 network_constants_oracle(config, model, y_max)),
+                self._exact_pair(rng, config, model),
+            ):
+                for name, value in want.items():
+                    assert _same(getattr(cns, name), value), (config.K, config.J, name)
+
+    @staticmethod
+    def _exact_pair(rng, config, model):
+        y = rng.standard_normal(model.m) * 10.0 ** rng.uniform(-2.0, 2.0)
+        P = sample_covariance("full", config.n, config.p_min, config.p_max, rng)
+        Pt = sample_covariance("diagonal", config.n, config.p_min, config.p_max, rng)
+        return (network_constants_exact(config, model, y, P, Pt),
+                network_constants_exact_oracle(config, model, y, P, Pt))
+
+    def test_geb_bound_and_sample_complexity(self, cases):
+        rng = np.random.default_rng(SEED_GEB + 7)
+        for config, model, y_max in cases:
+            loss = LossSpec.mae(config.n, config.bounds.c_max)
+            Ns = int(10.0 ** rng.uniform(0.0, 7.0))
+            rep = geb_bound(config, model, loss, Ns, 0.05, y_max)
+            terms, cns = geb_oracle(config, model, loss, Ns, 0.05, y_max)
+            got = rep.to_dict()
+            del got["constants"]
+            assert json.dumps(got, sort_keys=True) == json.dumps(terms, sort_keys=True)
+            for name, value in cns.items():
+                assert _same(getattr(rep.constants, name), value), (config.K, config.J, name)
+            gap = (rep.term2 + rep.term3) * float(rng.uniform(0.5, 2.0))
+            assert (sample_complexity(config, model, loss, gap, 0.05, y_max)
+                    == sample_complexity_oracle(config, model, loss, gap, 0.05, y_max))
+
+
+class TestOverflowingInputs:
+    """Constants that overflow raise a ValueError naming y_max, with no
+    RuntimeWarning and no NaN bound."""
+
+    @pytest.mark.parametrize("scale, y_max", [(3e152, 1e-250), (1.0, 1e160)],
+                             ids=["inf_c1", "pow_overflow"])
+    def test_geb_bound_and_sample_complexity_raise(self, scale, y_max):
+        run = load_run_config(default_config())
+        model = MeasurementModel(scale * run.model.A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow float64 at y_max"):
+                geb_bound(run.network, model, run.loss, 1000, 0.05, y_max)
+            with pytest.raises(ValueError, match="overflow float64 at y_max"):
+                sample_complexity(run.network, model, run.loss, 1.0, 0.05, y_max)

@@ -17,9 +17,9 @@ def collect_bench():
     return module
 
 
-def _record(path, commit, wall_s):
+def _record(path, commit, wall_s, **provenance):
     record = {
-        "provenance": {"git_commit": commit, "workload": "bound_sweep", "seed": 3},
+        "provenance": {"git_commit": commit, "workload": "bound_sweep", "seed": 3, **provenance},
         "result": {"correct": True, "attempted": 5, "failed": 0,
                    "metrics": {"wall_s": {"value": wall_s, "unit": "s"}}},
         "untraced_pass_s": [wall_s, 2 * wall_s],
@@ -54,3 +54,38 @@ def test_no_records_is_an_error(tmp_path, collect_bench):
 def test_side_needs_a_name(collect_bench):
     with pytest.raises(SystemExit):
         collect_bench.main(["BENCH_x.json", "runs/parent"])
+
+
+def _collect_two_sides(tmp_path, collect_bench, parent, change):
+    """Write one record per provenance dict under parent/ and change/, then collect."""
+    for side, records in (("parent", parent), ("change", change)):
+        (tmp_path / side).mkdir()
+        for i, prov in enumerate(records):
+            _record(tmp_path / side / f"run{i}-bound_sweep-seed3-trace0.json", side, 0.03, **prov)
+    out = tmp_path / "BENCH_test.json"
+    rc = collect_bench.main([str(out), f"parent={tmp_path / 'parent'}",
+                             f"change={tmp_path / 'change'}"])
+    return rc, out
+
+
+@pytest.mark.parametrize("parent, change, message", [
+    ([{"src_sha256": "a"}, {"src_sha256": "b"}], [{"src_sha256": "c"}],
+     "side 'parent' mixes records with different src_sha256"),
+    ([{"src_sha256": "a"}], [{"src_sha256": "c", "workload": "gap"}, {"src_sha256": "c"}],
+     "side 'change' mixes records with different workload"),
+    ([{"src_sha256": "a"}], [{"src_sha256": "a"}],
+     "sides 'parent' and 'change' share src_sha256 a"),
+], ids=["mixed_src", "mixed_workload", "shared_src"])
+def test_rejects_mixed_or_shared_sources(tmp_path, collect_bench, capsys, parent, change, message):
+    rc, out = _collect_two_sides(tmp_path, collect_bench, parent, change)
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_distinct_sources_are_collected(tmp_path, collect_bench):
+    rc, out = _collect_two_sides(tmp_path, collect_bench,
+                                 [{"src_sha256": "a"}, {"src_sha256": "a"}], [{"src_sha256": "c"}])
+    assert rc == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert [r["provenance"]["src_sha256"] for r in runs["parent"]] == ["a", "a"]

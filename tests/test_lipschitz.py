@@ -11,6 +11,7 @@ from cgbound.lipschitz import (
     TAU_H,
     StepConstants,
     _assemble,
+    _logaddexp,
     _logsumexp,
     cgnet_step_constants,
     datafit_grad_constants,
@@ -370,3 +371,66 @@ class TestLogDomainStorage:
             assert cns.kappa_kdj.max() == math.inf
             assert cns.r_hat1 == math.inf
 
+
+
+class TestFloatLogaddexp:
+    """``_logaddexp`` on floats must give ``np.logaddexp``'s bits."""
+
+    def test_random_pairs_match_numpy(self):
+        rng = np.random.default_rng(SEED_LIP + 2)
+        far = rng.uniform(-800.0, 800.0, size=(60000, 2))
+        base = rng.uniform(-50.0, 50.0, size=60000)
+        near = np.stack([base, base + rng.normal(0.0, 1e-6, size=60000)], axis=1)
+        scaled = 10.0 ** rng.uniform(-300.0, 300.0, size=(20000, 2))
+        scaled *= rng.choice([-1.0, 1.0], size=scaled.shape)
+        pairs = np.concatenate([far, near, scaled])
+        want = np.logaddexp(pairs[:, 0], pairs[:, 1])
+        got = np.array([_logaddexp(x, y) for x, y in pairs.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("x, y", [
+        (math.inf, math.inf), (-math.inf, -math.inf), (math.inf, -math.inf),
+        (-math.inf, math.inf), (math.inf, 3.0), (3.0, math.inf), (-math.inf, 3.0),
+        (3.0, -math.inf), (0.0, 0.0), (-0.0, 0.0), (2.5, 2.5), (-1e300, -1e300),
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, math.inf), (math.nan, math.nan),
+    ])
+    def test_special_values_match_numpy(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logaddexp(x, y)
+        assert type(got) is float
+        with np.errstate(invalid="ignore"):  # numpy flags a NaN argument
+            want = float(np.logaddexp(x, y))
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert _bits(got) == _bits(want)
+
+
+# Each of these measurement models and radii made a Tikhonov or step
+# constant overflow: the first set inf into c1 and NaN into the bound, the
+# second raised a bare OverflowError from a float ``**``.
+OVERFLOWING = [(3e152, 1e-250), (1.0, 1e153)]
+
+
+class TestOverflowingConstants:
+    @pytest.mark.parametrize("make_config", [_cg_config, _dr_config], ids=["cgnet", "drcgnet"])
+    @pytest.mark.parametrize("scale, y_max", OVERFLOWING, ids=["inf_c1", "pow_overflow"])
+    def test_raise_a_named_value_error(self, make_config, scale, y_max):
+        cfg = make_config()
+        model = MeasurementModel(scale * np.array([[1.0, 0.5, -0.3], [0.2, -1.0, 0.4]]))
+        rng = np.random.default_rng(SEED_LIP + 3)
+        P = sample_covariance("full", cfg.n, 0.5, 2.0, rng)
+        y = np.full(2, y_max / math.sqrt(2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflow float64 at y_max = .*\|\|A\|\|_2"):
+                network_constants(cfg, model, y_max)
+            with pytest.raises(ValueError, match=r"overflow float64 at y_max = .*\|\|A\|\|_inf"):
+                network_constants_exact(cfg, model, y, P, P)
+
+    def test_covariance_ratio_overflow_is_named(self):
+        cfg = NetworkConfig(variant="cgnet", n=3, K=2, J=2, bounds=SignalBounds.default(),
+                            p_min=1e-160, p_max=1.0, mu_bound=1.0)
+        with pytest.raises(ValueError, match="p_min = 1e-160"):
+            network_constants(cfg, MeasurementModel(np.ones((1, 3))), 1.0)

@@ -76,9 +76,13 @@ class TestArraySchema:
     @pytest.mark.parametrize("obj, field", [
         ({"shape": None, "data": [1, 2, 3, 4]}, "y.shape"),
         ({"shape": ["a"], "data": [1]}, "y.shape"),
-        ({"shape": [2], "data": ["a", "b"]}, "y.data"),
-        ({"shape": [2], "data": [None, 1.0]}, "y.data"),
-    ], ids=["null_shape", "text_shape", "text_data", "null_data"])
+        ({"shape": [2], "data": ["a", "b"]}, "y.data[0]"),
+        ({"shape": [2], "data": [None, 1.0]}, "y.data[0]"),
+        ({"shape": [2], "data": ["1.5", True]}, "y.data[0]"),
+        ({"shape": [2], "data": [1.5, True]}, "y.data[1]"),
+        ({"shape": [2], "data": "1.5"}, "y.data"),
+    ], ids=["null_shape", "text_shape", "text_data", "null_data", "numeric_text_data",
+            "bool_data", "text_for_list"])
     def test_malformed_array_names_its_field(self, tmp_path, capsys, obj, field):
         with pytest.raises(ConfigError, match=f"^{re.escape(field)}:"):
             array_from_json(obj, "y")
@@ -173,9 +177,20 @@ class TestRunConfig:
          "dataset.sigma_u.lam2"),
         ("dataset.sigma_u", {"structure": "full", "L": {"shape": [4], "data": [1, 0, 0, 1]}},
          "dataset.sigma_u.L"),
+        ("model.m", -2, "model.m"),
+        ("model.n", 0, "model.n"),
+        ("dataset.sigma_u", {"structure": "tridiagonal", "lam1": [1e200] * 8, "lam2": [0.0] * 7},
+         "dataset.sigma_u.lam1/lam2"),
+        ("dataset.sigma_u", {"structure": "full",
+                             "L": {"shape": [2, 2], "data": [1e200, 0.0, 1.0, 1.0]}},
+         "dataset.sigma_u.L"),
+        ("dataset.sigma_u", {"structure": "diagonal", "lam_vec": [1e308] * 8},
+         "dataset.sigma_u.lam_vec"),
     ], ids=["K_fraction", "K_text", "geb_Ns_fraction", "trials_fraction", "seed_fraction",
             "filters_fraction", "p_max_text", "delta_nan", "weight_bounds_inf", "p_max_inf",
-            "xi_nan", "sigma_u_lam_nan", "sigma_u_lam2_length", "sigma_u_L_shape"])
+            "xi_nan", "sigma_u_lam_nan", "sigma_u_lam2_length", "sigma_u_L_shape",
+            "model_m_negative", "model_n_zero", "sigma_u_tridiagonal_overflow",
+            "sigma_u_full_overflow", "sigma_u_diagonal_overflow"])
     def test_strict_reads_name_their_field(self, tmp_path, capsys, where, value, field):
         cfg = _small_config()
         *sections, key = where.split(".")
@@ -319,6 +334,17 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert main(["bound", "--config", str(path)]) == 1
         assert "Ns must be a finite integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e60, 1e152])
+    def test_overflowing_constants_exit_one(self, tmp_path, capsys, scale):
+        cfg = default_config()
+        cfg["model"]["matrix"]["scale"] = scale
+        path = tmp_path / "huge_matrix.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the network constants overflow float64 at y_max")
+        assert "Traceback" not in err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         y_path = tmp_path / "y_huge.json"

@@ -9,6 +9,12 @@ Each PATH is a result record that ``perfbench/run.py`` wrote (a
 all taken, in name order. The ``provenance`` and ``result`` objects of each
 record are copied verbatim into a list under its SIDE, for example
 ``parent`` and ``change``. Only the standard library is used.
+
+A BENCH file compares code versions, so the tool exits 1, naming the side,
+when one side's records differ in ``provenance.src_sha256`` (the digest of
+the measured ``src/cgbound``) or in ``provenance.workload``, or when two
+sides measured the same ``src_sha256``. Records without these keys are
+taken as they are.
 """
 
 import argparse
@@ -35,6 +41,21 @@ def collect(sides):
     return {"runs": runs}
 
 
+def mixed(bench):
+    """The first problem that makes ``bench`` compare the wrong runs, or None."""
+    seen = {}
+    for side, runs in bench["runs"].items():
+        for key in ("src_sha256", "workload"):
+            values = {run["provenance"][key] for run in runs if key in run["provenance"]}
+            if len(values) > 1:
+                return f"side {side!r} mixes records with different {key}: {sorted(values)}"
+        for digest in {run["provenance"].get("src_sha256") for run in runs} - {None}:
+            if digest in seen:
+                return f"sides {seen[digest]!r} and {side!r} share src_sha256 {digest}"
+            seen[digest] = side
+    return None
+
+
 def side_path(text):
     side, sep, path = text.partition("=")
     if not (side and sep and path):
@@ -50,6 +71,10 @@ def main(argv=None):
     bench = collect(args.sides)
     if not bench["runs"]:
         print("no *-trace0.json records found", file=sys.stderr)
+        return 1
+    problem = mixed(bench)
+    if problem:
+        print(problem, file=sys.stderr)
         return 1
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
