@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import geb_bound, ymax_estimate
+from .bounds import _check_ns, geb_bound, ymax_estimate
 from .model import SignalBounds, SpdMatrix
 from .networks import forward
 
@@ -42,8 +42,8 @@ class CgDataSpec:
     seed: int
 
     def __post_init__(self):
-        if self.Ns < 1:
-            raise ValueError("Ns must be >= 1")
+        _check_ns(self.Ns)
+        object.__setattr__(self, "Ns", int(self.Ns))
         if self.sigma_u.n != self.model.n:
             raise ValueError("sigma_u must be n x n")
 

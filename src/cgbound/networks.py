@@ -130,6 +130,12 @@ class NetworkConfig:
         """Dense shape of subnetwork layer ``ell`` (1-based)."""
         return (self.n * self.filters[ell], self.n * self.filters[ell - 1])
 
+    def block_shapes(self):
+        """Per-step shape of each block, d = 1 .. D: ``()`` for a scalar block."""
+        if self.variant == "cgnet":
+            return ((self.n, self.n), ())
+        return tuple(self.weight_shape(ell) for ell in range(1, self.Lc + 1)) + ((),)
+
     def parameter_dims(self):
         """Per-block (dimension, ball radius) pairs, d = 1 .. D."""
         if self.variant == "cgnet":
@@ -147,10 +153,12 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class ParameterSet:
-    """Covariance plus one tuple of parameter blocks per (layer, step).
+    """Covariance plus one stack of parameter blocks per block index.
 
-    ``blocks[k][j]`` holds the D blocks of scale update j+1 in layer k+1:
-    ``(B, mu)`` for cgnet, ``(W_1, ..., W_Lc, delta)`` for drcgnet.
+    ``blocks[d]`` holds block d+1 of every scale update: a ``(K, J, r, c)``
+    stack for a matrix block, a ``(K, J)`` array for a scalar block. So
+    ``[b[k, j] for b in blocks]`` are the D blocks of scale update j+1 in
+    layer k+1: ``(B, mu)`` for cgnet, ``(W_1, ..., W_Lc, delta)`` for drcgnet.
     """
 
     P: SpdMatrix
@@ -252,16 +260,10 @@ def _scale_update(z, u, y, model, theta_kj, config):
     return mrelu(out, 0.0, b.z_inf)
 
 
-def _stack_blocks(thetas):
-    """The blocks of T parameter sets, every entry stacked along a leading axis:
-    matrix blocks become ``(T, r, c)`` stacks, scalar blocks ``(T,)`` arrays."""
-    return tuple(
-        tuple(
-            tuple(np.array(xs, dtype=np.float64) for xs in zip(*kjs, strict=True))
-            for kjs in zip(*rows, strict=True)
-        )
-        for rows in zip(*(t.blocks for t in thetas), strict=True)
-    )
+def _stack_blocks(grids):
+    """T block tuples stacked per block index along axis 2: ``blocks[d][k, j]``
+    is then a ``(T, r, c)`` stack of matrix blocks or a ``(T,)`` array of scalars."""
+    return tuple(np.stack(bs, axis=2) for bs in zip(*grids, strict=True))
 
 
 def forward(y, theta, config, model):
@@ -294,7 +296,7 @@ def forward(y, theta, config, model):
             raise TypeError("theta must be a ParameterSet or a nonempty tuple of them")
         if y.ndim != 1:
             raise ValueError(f"a tuple of parameter sets takes one y of shape ({model.m},)")
-        P, blocks = _SpdStack(t.P for t in theta), _stack_blocks(theta)
+        P, blocks = _SpdStack(t.P for t in theta), _stack_blocks([t.blocks for t in theta])
         y = np.array([y] * len(theta))
     with np.errstate(over="ignore", invalid="ignore"):
         z = _initial_scale(y, model, config)
@@ -305,7 +307,7 @@ def forward(y, theta, config, model):
         for k in range(config.K):
             zk = []
             for j in range(config.J):
-                z = _scale_update(z, u, y, model, blocks[k][j], config)
+                z = _scale_update(z, u, y, model, [b[k, j] for b in blocks], config)
                 zk.append(z)
             zs.append(tuple(zk))
             u = tikhonov_solve(model, z, y, P)
@@ -358,7 +360,8 @@ def _sample_blocks(config, rng):
 
     Every draw is made first, in block order; then one stacked ``eigvalsh``
     (cgnet) or one stacked SVD per weight layer (drcgnet) sets the norms of
-    all K*J steps, and one broadcast product rescales them.
+    all K*J steps, and one broadcast product rescales them. Returns the
+    ``ParameterSet.blocks`` tuple: one ``(K, J, ...)`` stack per block index.
     """
     kj = config.K * config.J
     if config.variant == "cgnet":
@@ -370,8 +373,7 @@ def _sample_blocks(config, rng):
             mats.append(G @ G.T + 1e-3 * np.eye(n))
             mus.append(rng.uniform(-config.mu_bound, config.mu_bound))
         S = np.array(mats)
-        B = S * (radii / np.linalg.eigvalsh(S)[:, -1])[:, None, None]
-        steps = [(B[i], mus[i]) for i in range(kj)]
+        blocks = (S * (radii / np.linalg.eigvalsh(S)[:, -1])[:, None, None], mus)
     else:
         Lc = config.Lc
         mats, radii, deltas = [[] for _ in range(Lc)], np.empty((Lc, kj)), []
@@ -380,15 +382,14 @@ def _sample_blocks(config, rng):
                 mats[ell].append(rng.standard_normal(config.weight_shape(ell + 1)))
                 radii[ell, i] = config.weight_bounds[ell] * rng.random()
             deltas.append(rng.uniform(-config.delta, config.delta))
-        ws = []
+        blocks = []
         for ell in range(Lc):
             W = np.array(mats[ell])
             nrm = spectral_norm(W)
             scale = np.divide(radii[ell], nrm, out=np.ones(kj), where=nrm > 0)
-            ws.append(W * scale[:, None, None])
-        steps = [tuple(W[i] for W in ws) + (deltas[i],) for i in range(kj)]
-    J = config.J
-    return tuple(tuple(steps[k * J:(k + 1) * J]) for k in range(config.K))
+            blocks.append(W * scale[:, None, None])
+        blocks.append(deltas)
+    return tuple(np.reshape(b, (config.K, config.J) + np.shape(b)[1:]) for b in blocks)
 
 
 def sample_parameters(config, seed):
@@ -405,56 +406,36 @@ def sample_parameters(config, seed):
     return ParameterSet(P=P, blocks=_sample_blocks(config, rng))
 
 
-def _block_norms(blocks, config):
-    """``(K, J, D)`` norms of a block grid: spectral for matrices, one stacked
-    SVD per block index d, and absolute value for scalars."""
-    norms = np.empty((config.K, config.J, config.D))
-    for d in range(config.D):
-        xs = np.array([kj[d] for row in blocks for kj in row], dtype=np.float64)
-        nrm = np.abs(xs) if xs.ndim == 1 else spectral_norm(xs)
-        norms[..., d] = nrm.reshape(config.K, config.J)
-    return norms
+def _block_norms(blocks):
+    """``(K, J, D)`` norms of ``ParameterSet.blocks``-shaped stacks: one stacked
+    SVD per matrix stack (spectral norms), absolute values of scalar stacks."""
+    return np.stack([spectral_norm(b) if np.ndim(b) > 2 else np.abs(b) for b in blocks], axis=-1)
 
 
 def validate_parameters(theta, config, tol=1e-9):
-    """Check every block against its ball constraint; raise on violation."""
+    """Check every block stack's shape and every block against its ball; raise on violation."""
     if theta.P.p_max > config.p_max * (1 + tol) or theta.P.p_min < config.p_min * (1 - tol):
         raise ValueError("covariance spectrum leaves [p_min, p_max]")
-    if len(theta.blocks) != config.K or any(
-        len(row) != config.J or any(len(kj) != config.D for kj in row) for row in theta.blocks
-    ):
-        raise ValueError("parameter blocks do not match (K, J, D)")
-    if config.variant == "cgnet":
-        names = ("B", "mu")
-        shapes = ((config.n, config.n), ())
-        radii = (config.p_max, config.mu_bound)
-    else:
-        names = tuple(f"weight {ell}" for ell in range(1, config.Lc + 1)) + ("delta",)
-        shapes = tuple(config.weight_shape(ell) for ell in range(1, config.Lc + 1)) + ((),)
-        radii = config.weight_bounds + (config.delta,)
-    for k, row in enumerate(theta.blocks, start=1):
-        for j, kj in enumerate(row, start=1):
-            for name, shape, x in zip(names, shapes, kj):
-                if np.shape(x) != shape:
-                    raise ValueError(f"{name} at layer {k} step {j} has wrong shape")
-    norms = _block_norms(theta.blocks, config)
-    for k, j, d in np.ndindex(norms.shape):
-        if norms[k, j, d] > radii[d] * (1 + tol):
-            raise ValueError(f"{names[d]} at layer {k + 1} step {j + 1} leaves its ball")
+    shapes = config.block_shapes()
+    if len(theta.blocks) != len(shapes):
+        raise ValueError(f"expected {len(shapes)} block stacks, got {len(theta.blocks)}")
+    for d, (b, shape) in enumerate(zip(theta.blocks, shapes), start=1):
+        if np.shape(b) != (config.K, config.J) + shape:
+            raise ValueError(f"block {d} stack has shape {np.shape(b)}, "
+                             f"expected {(config.K, config.J) + shape}")
+    radii = np.array([radius for _, radius in config.parameter_dims()])
+    outside = np.argwhere(~(_block_norms(theta.blocks) <= radii * (1 + tol)))  # NaN is outside
+    if outside.size:
+        k, j, d = outside[0] + 1
+        raise ValueError(f"block {d} at layer {k} step {j} leaves its ball")
 
 
-def parameter_distance(t1, t2, config):
+def parameter_distance(t1, t2):
     """Block norms of the difference of two parameter sets.
 
-    Returns ``(||P1 - P2||_2, dist)`` where ``dist[(k, j, d)]`` uses the
-    spectral norm for matrix blocks and absolute value for scalars
-    (1-based indices).
+    Returns ``(||P1 - P2||_2, dist)`` where ``dist[k, j, d]`` is the distance
+    of block d+1 of scale update j+1 in layer k+1, a ``(K, J, D)`` array:
+    spectral norm for matrix blocks, absolute value for scalars.
     """
     p_dist = spectral_norm(t1.P.P - t2.P.P)
-    diffs = [
-        [[np.subtract(x1, x2) for x1, x2 in zip(b1, b2)] for b1, b2 in zip(r1, r2)]
-        for r1, r2 in zip(t1.blocks, t2.blocks)
-    ]
-    norms = _block_norms(diffs, config)
-    dist = {(k + 1, j + 1, d + 1): float(norms[k, j, d]) for k, j, d in np.ndindex(norms.shape)}
-    return p_dist, dist
+    return p_dist, _block_norms([b1 - b2 for b1, b2 in zip(t1.blocks, t2.blocks, strict=True)])

@@ -120,18 +120,13 @@ def dumps_canonical(obj):
 
 
 def parameters_to_json(theta):
-    """Serialize a parameter set: covariance plus per-(layer, step) blocks.
+    """Serialize a parameter set: covariance plus a K x J grid of per-step blocks.
 
     Matrix blocks become array objects, scalar blocks plain numbers.
     """
-    blocks = []
-    for row in theta.blocks:
-        out_row = []
-        for kj in row:
-            out_row.append([
-                float(b) if np.ndim(b) == 0 else array_to_json(b) for b in kj
-            ])
-        blocks.append(out_row)
+    K, J = np.shape(theta.blocks[0])[:2]
+    blocks = [[[float(b[k, j]) if np.ndim(b) == 2 else array_to_json(b[k, j]) for b in theta.blocks]
+               for j in range(J)] for k in range(K)]
     return {"P": array_to_json(theta.P.P), "blocks": blocks}
 
 
@@ -151,22 +146,22 @@ def parameters_from_json(obj, config, path="params"):
     raw = obj["blocks"]
     if not isinstance(raw, list) or len(raw) != config.K:
         raise ConfigError(f"{path}.blocks: expected a {config.K} x {config.J} grid")
-    blocks = []
+    shapes = config.block_shapes()
+    stacks = [[] for _ in shapes]
     for k, row in enumerate(raw, start=1):
         if not isinstance(row, list) or len(row) != config.J:
             raise ConfigError(f"{path}.blocks[{k}]: expected a list of {config.J} steps")
-        out_row = []
         for j, kj in enumerate(row, start=1):
             if not isinstance(kj, list) or len(kj) != config.D:
-                raise ConfigError(
-                    f"{path}.blocks[{k}][{j}]: expected {config.D} parameter blocks"
-                )
-            out_row.append(tuple(
-                _block_from_json(b, f"{path}.blocks[{k}][{j}][{d}]")
-                for d, b in enumerate(kj, start=1)
-            ))
-        blocks.append(tuple(out_row))
-    theta = ParameterSet(P=P, blocks=tuple(blocks))
+                raise ConfigError(f"{path}.blocks[{k}][{j}]: expected {config.D} parameter blocks")
+            for d, (b, shape) in enumerate(zip(kj, shapes), start=1):
+                name = f"{path}.blocks[{k}][{j}][{d}]"
+                x = _block_from_json(b, name)
+                if np.shape(x) != shape:
+                    raise ConfigError(f"{name}: expected shape {shape}, got {np.shape(x)}")
+                stacks[d - 1].append(x)
+    theta = ParameterSet(P=P, blocks=tuple(
+        np.reshape(xs, (config.K, config.J) + shape) for xs, shape in zip(stacks, shapes)))
     _checked(path, validate_parameters, theta, config)
     return theta
 

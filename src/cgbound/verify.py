@@ -45,7 +45,7 @@ from .model import (
 )
 from .networks import (
     NetworkConfig,
-    ParameterSet,
+    _block_norms,
     _sample_blocks,
     _scale_update,
     _stack_blocks,
@@ -282,25 +282,21 @@ def _trial_scale_mapping(rng, dims):
     u1, u2 = u
     z1 = _admissible_scale(rng, config)
     z2 = _admissible_scale(rng, config)
-    t1 = ParameterSet(P=P1, blocks=_sample_blocks(config, rng))
-    t2 = ParameterSet(P=P2, blocks=_sample_blocks(config, rng))
+    b1, b2 = _sample_blocks(config, rng), _sample_blocks(config, rng)
 
     # both chains as one 2-row chain
-    blocks = _stack_blocks((t1, t2))
+    blocks = _stack_blocks((b1, b2))
     a = np.array([z1, z2])
     for j in range(J):
-        a = _scale_update(a, u, yy, model, blocks[0][j], config)
+        a = _scale_update(a, u, yy, model, [b[0, j] for b in blocks], config)
     lhs = float(np.linalg.norm(a[0] - a[1]))
 
     # K = 1, so the layer constants are the J-fold composition itself
     cns = network_constants_exact(config, model, y, P1, P2)
-    _, dist = parameter_distance(t1, t2, config)
+    dist = _block_norms([x1 - x2 for x1, x2 in zip(b1, b2)])
     rhs = cns.r_hat1 * float(np.linalg.norm(z1 - z2))
     rhs += cns.r_hat2 * float(np.linalg.norm(u1 - u2))
-    for j in range(1, J + 1):
-        for d in range(1, config.D + 1):
-            rhs += cns.r_hat3[j - 1, d - 1] * dist[(1, j, d)]
-    return lhs, rhs
+    return lhs, _theta_sum(cns.r_hat3, dist[0], rhs)
 
 
 def _forward_pair(rng, dims):
@@ -312,31 +308,30 @@ def _forward_pair(rng, dims):
     t2 = sample_parameters(config, rng)
     trace = forward(y, (t1, t2), config, model)  # row 0 runs t1, row 1 runs t2
     cns = network_constants_exact(config, model, y, t1.P, t2.P)
-    p_dist, dist = parameter_distance(t1, t2, config)
-    return config, trace, cns, p_dist, dist
+    p_dist, dist = parameter_distance(t1, t2)
+    return trace, cns, p_dist, dist
 
 
-def _theta_sum(config, coeffs, dist):
-    total = 0.0
-    for k in range(1, config.K + 1):
-        for j in range(1, config.J + 1):
-            for d in range(1, config.D + 1):
-                total += coeffs[k - 1, j - 1, d - 1] * dist[(k, j, d)]
+def _theta_sum(coeffs, dist, total):
+    """``total`` plus the coefficient-weighted block distances, added one term
+    at a time in (k, j, d) order (a numpy reduction would reorder the sum)."""
+    for c, x in zip(coeffs.ravel().tolist(), dist.ravel().tolist(), strict=True):
+        total += c * x
     return total
 
 
 def _trial_scale_chain(rng, dims):
-    config, trace, cns, p_dist, dist = _forward_pair(rng, dims)
+    trace, cns, p_dist, dist = _forward_pair(rng, dims)
     z = trace.z[-1][-1]
     lhs = float(np.linalg.norm(z[0] - z[1]))
-    rhs = cns.c_hat1 * p_dist + _theta_sum(config, cns.c_hat2, dist)
+    rhs = cns.c_hat1 * p_dist + _theta_sum(cns.c_hat2, dist, 0.0)
     return lhs, rhs
 
 
 def _trial_network_lipschitz(rng, dims):
-    config, trace, cns, p_dist, dist = _forward_pair(rng, dims)
+    trace, cns, p_dist, dist = _forward_pair(rng, dims)
     lhs = float(np.linalg.norm(trace.output[0] - trace.output[1]))
-    rhs = cns.kappa * p_dist + _theta_sum(config, cns.kappa_kdj, dist)
+    rhs = cns.kappa * p_dist + _theta_sum(cns.kappa_kdj, dist, 0.0)
     return lhs, rhs
 
 

@@ -117,7 +117,7 @@ def alternating_ls_oracle(y, A, P, blocks, config):
 
     with the data-term gradient ``g = A_u^T (A_u z - y)``, ``A_u = A diag(u)``.
     The output is ``z * u`` projected onto the c_max ball. ``y`` is one
-    measurement; ``blocks[k][j]`` are the blocks of step j in round k.
+    measurement; ``[b[k, j] for b in blocks]`` are the blocks of step j in round k.
     """
     b = config.bounds
     lo = b.a if config.variant == "cgnet" else 0.0
@@ -126,11 +126,11 @@ def alternating_ls_oracle(y, A, P, blocks, config):
     for k in range(config.K):
         for j in range(config.J):
             if config.variant == "cgnet":
-                B, mu = blocks[k][j]
+                B, mu = [b[k, j] for b in blocks]
                 g = grad_z_oracle(z, u, y, A, mu)
                 z = _clamp(z - B @ _project_ball(g, b.xi), b.a, b.b)
             else:
-                *weights, delta = blocks[k][j]
+                *weights, delta = [b[k, j] for b in blocks]
                 g = grad_z_oracle(z, u, y, A, 0.0)
                 z = z - delta * _project_ball(g, b.xi) + _relu_chain(weights, z)
             z = _clamp(z, 0.0, b.z_inf)

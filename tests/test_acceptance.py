@@ -121,8 +121,9 @@ def _worst_iteration_gap(scale=1.0):
         config = _random_config(rng, n)
         theta = sample_parameters(config, int(rng.integers(2**31)))
         y = rng.standard_normal(m)
-        (first, *steps), *layers = theta.blocks
-        blocks = (((first[0] * scale, *first[1:]), *steps), *layers)
+        first = theta.blocks[0].copy()
+        first[0, 0] *= scale
+        blocks = (first, *theta.blocks[1:])
         ref = alternating_ls_oracle(y, model.A, theta.P.P, blocks, config)
         diff = np.max(np.abs(ref - forward(y, theta, config, model).output))
         worst = max(worst, float(diff))

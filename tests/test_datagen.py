@@ -53,6 +53,21 @@ class TestGenerate:
         with pytest.raises(ValueError):
             _spec(Ns=0)
 
+    @pytest.mark.parametrize("Ns", [2.5, True, np.bool_(True)], ids=["fraction", "bool", "np_bool"])
+    def test_rejects_non_integer_sizes(self, Ns):
+        with pytest.raises(ValueError, match="Ns must be a finite integer"):
+            _spec(Ns=Ns)
+
+    def test_gap_rejects_fractional_test_draws(self):
+        theta = sample_parameters(_config(), 6)
+        with pytest.raises(ValueError, match="Ns must be a finite integer"):
+            empirical_gap(theta, _config(), LossSpec.mae(6, 1.0), _spec(Ns=8), test_draws=2.5, seed=1)
+
+    def test_integral_float_size_is_stored_as_int(self):
+        spec = _spec(Ns=48.0)
+        assert type(spec.Ns) is int and spec.Ns == 48
+        assert len(generate_cg_dataset(spec)) == 48
+
     def test_pairs_view(self):
         data = generate_cg_dataset(_spec(Ns=5))
         pairs = data.pairs()

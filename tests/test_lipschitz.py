@@ -1,6 +1,7 @@
 """Sensitivity-constant formulas, aggregation, and dominance checks."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -428,6 +429,21 @@ class TestOverflowingConstants:
                 network_constants(cfg, model, y_max)
             with pytest.raises(ValueError, match=r"overflow float64 at y_max = .*\|\|A\|\|_inf"):
                 network_constants_exact(cfg, model, y, P, P)
+
+    @pytest.mark.parametrize("make_config", [_cg_config, _dr_config], ids=["cgnet", "drcgnet"])
+    def test_exact_constants_take_the_true_norm_of_a_huge_y(self, make_config):
+        # ||y||^2 overflows float64 but ||y|| = 7e159 * sqrt(2) does not
+        cfg = make_config()
+        A = np.array([[1.0, 0.5, -0.3], [0.2, -1.0, 0.4]])
+        P = sample_covariance("full", cfg.n, 0.5, 2.0, np.random.default_rng(SEED_LIP + 4))
+        y = np.full(2, 7e159)
+        y_norm = 7e159 * math.sqrt(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = network_constants_exact(cfg, MeasurementModel(1e-200 * A), y, P, P)
+            with pytest.raises(ValueError, match=re.escape(f"y_max = {y_norm!r} with")):
+                network_constants_exact(cfg, MeasurementModel(A), y, P, P)
+        assert math.isfinite(exact.log_kappa) and np.isfinite(exact.log_kappa_kdj).all()
 
     def test_covariance_ratio_overflow_is_named(self):
         cfg = NetworkConfig(variant="cgnet", n=3, K=2, J=2, bounds=SignalBounds.default(),

@@ -219,7 +219,7 @@ class TestForward:
         model = _model(rng)
         config = _cg_config(K=1, J=1)
         P = sample_covariance("scaled_identity", 8, 0.5, 2.0, np.random.default_rng(3))
-        theta = ParameterSet(P=P, blocks=(((np.zeros((8, 8)), 0.0),),))
+        theta = ParameterSet(P=P, blocks=(np.zeros((1, 1, 8, 8)), np.zeros((1, 1))))
         y = rng.standard_normal(4)
         trace = forward(y, theta, config, model)
 
@@ -348,7 +348,7 @@ def _parameter_stack_cases(draw):
         theta = sample_parameters(config, rng)
         if draw(st.booleans()):
             # a zero last block: mu for cgnet (no log term), delta for drcgnet
-            blocks = tuple(tuple(kj[:-1] + (0.0,) for kj in row) for row in theta.blocks)
+            blocks = (*theta.blocks[:-1], np.zeros_like(theta.blocks[-1]))
             theta = ParameterSet(P=theta.P, blocks=blocks)
         thetas.append(theta)
     finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -445,16 +445,14 @@ class TestSampling:
         t1 = sample_parameters(config, 99)
         t2 = sample_parameters(config, 99)
         np.testing.assert_array_equal(t1.P.P, t2.P.P)
-        for r1, r2 in zip(t1.blocks, t2.blocks):
-            for b1, b2 in zip(r1, r2):
-                for x1, x2 in zip(b1, b2):
-                    np.testing.assert_array_equal(np.asarray(x1), np.asarray(x2))
+        for b1, b2 in zip(t1.blocks, t2.blocks, strict=True):
+            np.testing.assert_array_equal(b1, b2)
 
     def test_different_seeds_differ(self):
         config = _cg_config()
         t1 = sample_parameters(config, 1)
         t2 = sample_parameters(config, 2)
-        assert not np.array_equal(t1.blocks[0][0][0], t2.blocks[0][0][0])
+        assert not np.array_equal(t1.blocks[0][0, 0], t2.blocks[0][0, 0])
 
     def test_samples_pass_ball_validation(self):
         for i in range(1000):
@@ -471,8 +469,42 @@ class TestSampling:
                 off = np.triu(np.abs(P.P), k=2)
                 assert np.max(off) < 1e-12
 
+    def test_validation_rejects_each_violation(self):
+        for config in (_cg_config(K=2, J=3), _dr_config(K=2, J=3, Lc=2)):
+            theta = sample_parameters(config, 11)
+            blocks = theta.blocks
+            with pytest.raises(ValueError, match=f"expected {config.D} block stacks"):
+                validate_parameters(replace(theta, blocks=blocks[:-1]), config)
+            with pytest.raises(ValueError, match=r"block 1 stack has shape \(3, 2, "):
+                validate_parameters(replace(theta, blocks=(blocks[0].swapaxes(0, 1), *blocks[1:])), config)
+            with pytest.raises(ValueError, match=f"block {config.D} stack has shape \\(2, 3, 1\\)"):
+                validate_parameters(replace(theta, blocks=(*blocks[:-1], blocks[-1][..., None])), config)
+            for value in (1.01 * config.parameter_dims()[-1][1], math.nan):
+                far = blocks[-1].copy()
+                far[1, 2] = value
+                with pytest.raises(ValueError, match=f"block {config.D} at layer 2 step 3 leaves its ball"):
+                    validate_parameters(replace(theta, blocks=(*blocks[:-1], far)), config)
+            wide = blocks[0].copy()
+            wide[0, 1] *= 1.01 * config.parameter_dims()[0][1] / spectral_norm(wide[0, 1])
+            with pytest.raises(ValueError, match="block 1 at layer 1 step 2 leaves its ball"):
+                validate_parameters(replace(theta, blocks=(wide, *blocks[1:])), config)
+            for lam in (0.99 * config.p_min, 1.01 * config.p_max):
+                P = sample_covariance("scaled_identity", config.n, lam, lam, np.random.default_rng(1))
+                with pytest.raises(ValueError, match=r"covariance spectrum leaves \[p_min, p_max\]"):
+                    validate_parameters(replace(theta, P=P), config)
+
+    def test_parameter_distance_matches_single_block_norms(self):
+        for config in (_cg_config(K=2, J=3), _dr_config(K=3, J=1, Lc=2)):
+            t1, t2 = sample_parameters(config, 21), sample_parameters(config, 22)
+            p_dist, dist = parameter_distance(t1, t2)
+            assert p_dist == spectral_norm(t1.P.P - t2.P.P)
+            assert dist.shape == (config.K, config.J, config.D)
+            for k, j, d in np.ndindex(dist.shape):
+                diff = t1.blocks[d][k, j] - t2.blocks[d][k, j]
+                assert dist[k, j, d] == (spectral_norm(diff) if diff.ndim else abs(diff))
+
     def test_parameter_distance_zero_for_identical(self):
         config = _dr_config()
         theta = sample_parameters(config, 7)
-        p_dist, dist = parameter_distance(theta, theta, config)
-        assert p_dist == 0.0 and all(v == 0.0 for v in dist.values())
+        p_dist, dist = parameter_distance(theta, theta)
+        assert p_dist == 0.0 and dist.shape == (config.K, config.J, config.D) and not dist.any()

@@ -448,10 +448,9 @@ class TestParameterSerialization:
         theta = sample_parameters(cfg, 77)
         back = parameters_from_json(parameters_to_json(theta), cfg)
         np.testing.assert_array_equal(back.P.P, theta.P.P)
-        for r1, r2 in zip(back.blocks, theta.blocks):
-            for b1, b2 in zip(r1, r2):
-                for x1, x2 in zip(b1, b2):
-                    np.testing.assert_array_equal(np.asarray(x1), np.asarray(x2))
+        for b1, b2 in zip(back.blocks, theta.blocks, strict=True):
+            assert b1.shape == b2.shape
+            np.testing.assert_array_equal(b1, b2)
 
     def test_rejects_wrong_grid(self):
         from cgbound.networks import sample_parameters
@@ -469,8 +468,9 @@ class TestParameterSerialization:
         ((1,), 3, "params.blocks[2]"),
         ((0, 0, 1), "0.1", "params.blocks[1][1][2]"),
         ((0, 0, 1), math.nan, "params.blocks[1][1][2]"),
+        ((0, 0, 0), {"shape": [2, 4], "data": [0.1] * 8}, "params.blocks[1][1][1]"),
     ], ids=["list_for_scalar", "null_for_scalar", "int_for_row", "text_for_scalar",
-            "nan_for_scalar"])
+            "nan_for_scalar", "wrong_weight_shape"])
     def test_malformed_blocks_name_their_path(self, tmp_path, capsys, where, value, field):
         from cgbound.networks import sample_parameters
         from cgbound.serialize import parameters_from_json, parameters_to_json

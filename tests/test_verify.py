@@ -88,6 +88,22 @@ def test_identical_parameters_give_zero_distance():
     assert cns.kappa >= 0.0
 
 
+def test_theta_sum_adds_in_kjd_order():
+    # the certified right-hand sides keep the bits of the (k, j, d) triple loop
+    from cgbound.verify import _theta_sum
+
+    rng = np.random.default_rng(SEED_VER)
+    for _ in range(300):
+        shape = tuple(int(s) for s in rng.integers(1, 5, size=3))
+        coeffs = np.exp(rng.uniform(-30.0, 30.0, size=shape))
+        dist = rng.random(shape)
+        total = float(rng.random())
+        want = total
+        for k, j, d in np.ndindex(shape):
+            want += coeffs[k, j, d] * dist[k, j, d]
+        assert _theta_sum(coeffs, dist, total) == want
+
+
 def test_identity_covariance_trivial_direction():
     # with P = I the cap is 1 and the regularized inverse has norm
     # 1/(gamma_1 + 1) <= 1 for the smallest Gram eigenvalue gamma_1 >= 0
