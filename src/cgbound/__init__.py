@@ -7,7 +7,6 @@ from .bounds import (
     LossSpec,
     ScalingFit,
     SweepSpec,
-    covering_log_bound,
     dim_cov,
     dudley_closed_form,
     geb_bound,

@@ -35,15 +35,20 @@ def _mrelu(x, a, b):
     return np.minimum(np.maximum(x, a), b)
 
 
-def _ball_project(v, radius):
+def _row_norm(v):
+    """``(..., 1)`` Euclidean row norms; a row whose squared norm overflows is
+    rescaled by its largest entry, the rest keep their bits."""
     nrm = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0])
-    if np.isinf(nrm).any():
-        # squared norm overflowed: rescale those rows, the rest keep their bits
-        big = np.isinf(nrm[..., 0])
+    big = np.isinf(nrm[..., 0])
+    if big.any():
         w = v[big]
         s = np.abs(w).max(axis=-1, keepdims=True)
         nrm[big] = s * np.linalg.norm(w / s, axis=-1, keepdims=True)
-    return v / np.maximum(1.0, nrm / radius)
+    return nrm
+
+
+def _ball_project(v, radius):
+    return v / np.maximum(1.0, _row_norm(v) / radius)
 
 
 def _tikhonov_primal(A, z, y, P_inv):
@@ -65,6 +70,23 @@ def _datafit_grad(A, u, z, y):
     return _matvec(Au.swapaxes(-1, -2), _matvec(Au, z) - y)
 
 
+def _clip_datafit(g, A, u, z, y, xi):
+    """The step gradient ``g`` projected onto the xi-ball. Its data-fit part
+    grows like ``|y|^2``; a row whose norm is not finite is recomputed from
+    ``(u, y)`` over their largest entry and put on the xi-sphere (a bounded
+    regularizer term is below rounding there). Other rows keep their bits."""
+    nrm = _row_norm(g)
+    out = g / np.maximum(1.0, nrm / xi)
+    huge = ~np.isfinite(nrm[..., 0])
+    if huge.any():
+        lead = nrm.shape[:-1]
+        uh, zh, yh = (np.broadcast_to(x, lead + x.shape[-1:])[huge] for x in (u, z, y))
+        s = np.maximum(np.abs(uh).max(axis=-1, keepdims=True), np.abs(yh).max(axis=-1, keepdims=True))
+        gh = _datafit_grad(A, uh / s, zh, yh / s)
+        out[huge] = xi * gh / _row_norm(gh)
+    return out
+
+
 def _cgnet_step(z, u, y, A, B, mu, a, b, xi):
     g = _datafit_grad(A, u, z, y)
     mu = np.asarray(mu)
@@ -75,15 +97,17 @@ def _cgnet_step(z, u, y, A, B, mu, a, b, xi):
         # the log term only where mu is nonzero, as in the 1-D call
         g = g.copy()
         g[on] += mu[on, None] * (np.log(z[on]) / z[on])
-    return _mrelu(z - _matvec(B, _ball_project(g, xi)), a, b)
+    return _mrelu(z - _matvec(B, _clip_datafit(g, A, u, z, y, xi)), a, b)
 
 
 def _drcgnet_vstep(z, u, y, A, delta, xi):
-    return z - np.asarray(delta)[..., None] * _ball_project(_datafit_grad(A, u, z, y), xi)
+    g = _datafit_grad(A, u, z, y)
+    return z - np.asarray(delta)[..., None] * _clip_datafit(g, A, u, z, y, xi)
 
 
 kernels = {
     "mrelu": _mrelu,
+    "row_norm": _row_norm,
     "ball_project": _ball_project,
     "tikhonov_primal": _tikhonov_primal,
     "tikhonov_woodbury": _tikhonov_woodbury,

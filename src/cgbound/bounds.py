@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lipschitz import _logaddexp, network_constants
+from .backend import kernels
+from .lipschitz import network_constants
 from .model import MeasurementModel
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "ScalingFit",
     "SweepSpec",
     "dim_cov",
-    "covering_log_bound",
     "dudley_closed_form",
     "ymax_estimate",
     "geb_bound",
@@ -185,33 +185,25 @@ def dim_cov(structure, n):
         raise ValueError(f"unknown covariance structure {structure!r}") from None
 
 
-def covering_log_bound(omega, alpha, eps):
-    """Log covering number bound of a radius-omega ball of dimension alpha.
-
-    A radius-omega ball in any norm on R^alpha is covered by at most
-    ``(1 + 2*omega/eps)^alpha`` balls of radius eps.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if alpha < 0 or omega <= 0:
-        raise ValueError("alpha must be nonnegative and omega positive")
-    return alpha * math.log1p(2.0 * omega / eps)
+def _covering_term(alpha, log_ratio):
+    """Entropy term ``sqrt(alpha * ln(e * (1 + ratio)))`` of a dimension-alpha
+    ball, elementwise; ``1 + logaddexp(0, log ratio)`` is stable for huge ratios."""
+    return np.sqrt(alpha * (1.0 + np.logaddexp(0.0, log_ratio)))
 
 
 def dudley_closed_form(beta, nu):
     """Closed-form upper bound ``beta * sqrt(ln(e*(1 + nu/beta)))``.
 
     Dominates ``integral_0^beta sqrt(ln(1 + nu/eps)) d eps`` for every
-    nu >= 0, beta > 0. Evaluated by the same log-domain factor
-    ``1 + logaddexp(0, log coeff + log kappa)`` that :func:`geb_bound`
-    applies to each covering block.
+    nu >= 0, beta > 0. It is ``beta`` times the covering term that
+    :func:`geb_bound` sums, at dimension 1 and ratio ``nu / beta``.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     log_ratio = math.log(nu) - math.log(beta) if nu > 0 else -math.inf
-    return beta * math.sqrt(1.0 + _logaddexp(0.0, log_ratio))
+    return beta * float(_covering_term(1.0, log_ratio))
 
 
 def ymax_estimate(model, c_max, mode, dataset=None):
@@ -231,7 +223,8 @@ def ymax_estimate(model, c_max, mode, dataset=None):
         Y = np.asarray(dataset, dtype=np.float64)
         if Y.ndim != 2:
             raise ValueError(f"dataset must be a (B, m) stack of measurements, got shape {Y.shape}")
-        return float(np.sqrt((Y[:, None, :] @ Y[:, :, None])[:, 0, 0]).max())
+        with np.errstate(over="ignore"):  # an overflowing row is rescaled
+            return float(kernels["row_norm"](Y).max())
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -247,9 +240,9 @@ def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
     Returns ``(constants, dim_P, alphas, omegas, KJD + 1, sums)``, where
     ``sums`` holds the covariance, matrix-block and scalar-block entropy sums
     that term2 scales. ``empirical_loss`` is only checked, in the order
-    :func:`geb_bound` checks its inputs. Each covering block enters through
-    ``ln(e * (1 + coeff * kappa)) = 1 + logaddexp(0, log coeff + log kappa)``,
-    stable for huge kappa.
+    :func:`geb_bound` checks its inputs. Each covering block enters as
+    ``_covering_term(dimension, log coeff + log kappa)``; the scalar block is
+    the last, of shape ``()`` in ``config.block_shapes()``.
     """
     _check_eps_conf(eps_conf)
     if not (math.isfinite(y_max) and y_max >= 0):
@@ -264,18 +257,16 @@ def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
     kjd1 = config.K * config.J * config.D + 1
     dim_p = dim_cov(config.cov_structure, config.n)
 
-    cov_factor = 1.0 + _logaddexp(0.0, math.log(4.0 * config.p_max * kjd1 / c_max) + cns.log_kappa)
-    term2_cov = math.sqrt(dim_p * cov_factor)
+    term2_cov = float(_covering_term(dim_p, math.log(4.0 * config.p_max * kjd1 / c_max) + cns.log_kappa))
 
     dims = config.parameter_dims()
     alphas, omegas = np.array(dims, dtype=np.float64).T
     log_coeffs = np.log([4.0 * w * kjd1 / c_max for _, w in dims])
-    factors = 1.0 + np.logaddexp(0.0, log_coeffs + cns.log_kappa_kdj)  # (K, J, D)
-    block_sums = np.add.reduce(np.sqrt(alphas * factors), axis=(0, 1))  # per d
+    terms = _covering_term(alphas, log_coeffs + cns.log_kappa_kdj)  # (K, J, D)
+    block_sums = np.add.reduce(terms, axis=(0, 1))  # per d
 
-    is_matrix = alphas > 1.5  # scalar blocks have dimension 1
-    term2_weights = float(np.add.reduce(block_sums[is_matrix]))
-    term2_scalars = float(np.add.reduce(block_sums[~is_matrix]))
+    term2_weights = float(np.add.reduce(block_sums[:-1]))  # matrix blocks, any dimension
+    term2_scalars = float(block_sums[-1])
     return cns, dim_p, alphas, omegas, kjd1, (term2_cov, term2_weights, term2_scalars)
 
 
@@ -291,11 +282,17 @@ def _report(config, loss, Ns, eps_conf, y_max, empirical_loss, entropy):
     """The :class:`BoundReport` at ``Ns`` from the Ns-free ``entropy``."""
     cns, dim_p, alphas, omegas, kjd1, sums = entropy
     scale, term2, term3 = _ns_terms(config, loss, sums, Ns, eps_conf)
+    total = empirical_loss + term2 + term3
+    if not all(map(math.isfinite, (term2, term3, total))):
+        raise ValueError(
+            f"the bound overflows float64 at tau = {loss.tau!r}, c = {loss.c!r} and Ns = {Ns!r}: "
+            f"term2 = {term2!r}, term3 = {term3!r}"
+        )
     return BoundReport(
         term1=float(empirical_loss),
         term2=float(term2),
         term3=float(term3),
-        total=float(empirical_loss + term2 + term3),
+        total=float(total),
         term2_cov=float(scale * sums[0]),
         term2_weights=float(scale * sums[1]),
         term2_scalars=float(scale * sums[2]),

@@ -131,7 +131,7 @@ class NetworkConfig:
         return (self.n * self.filters[ell], self.n * self.filters[ell - 1])
 
     def block_shapes(self):
-        """Per-step shape of each block, d = 1 .. D: ``()`` for a scalar block."""
+        """Per-step shape of each block, d = 1 .. D: ``()`` for the scalar block, the last."""
         if self.variant == "cgnet":
             return ((self.n, self.n), ())
         return tuple(self.weight_shape(ell) for ell in range(1, self.Lc + 1)) + ((),)

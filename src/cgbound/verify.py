@@ -5,7 +5,8 @@ covariances inside the bounded-spectrum SPD set, parameter blocks inside
 their balls, Gaussian estimates as regularized least-squares images of
 admissible scales), evaluates both sides of one inequality, and records
 whether ``lhs <= rhs * (1 + 1e-9) + 1e-12`` together with the tightness
-ratio lhs/rhs.
+ratio lhs/rhs. A left side that the networks compute (data-fit gradient,
+Tikhonov solve, forward pass, ReLU chain) runs the package's own kernels.
 
 Targets
 -------
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .backend import kernels
 from .lipschitz import (
     datafit_grad_constants,
     fc_lipschitz,
@@ -219,19 +221,24 @@ def _trial_reg_inverse_diff(rng, dims):
     return lhs, rhs
 
 
-def _trial_tikhonov_lipschitz(rng, dims):
+def _solve_pair(rng, dims):
+    """``(model, y, z, P1, P2, u)``: two ``(2, n)`` scale rows, as two n-vector
+    draws, and the rows ``u`` of their Tikhonov solves with y, P1 and y, P2."""
     model = _sample_model(rng, dims)
     z_inf = dims.bounds.z_inf
     y = rng.standard_normal(model.m)
-    z1 = rng.uniform(-z_inf, z_inf, size=model.n)
-    z2 = rng.uniform(-z_inf, z_inf, size=model.n)
-    P = _sample_P(rng, model.n, dims)
-    Pt = _sample_P(rng, model.n, dims)
-    t1, t2 = tikhonov_solve(model, np.array([z1, z2]), np.array([y, y]), (P, Pt))
-    lhs = float(np.linalg.norm(t1 - t2))
-    y2 = float(np.linalg.norm(y))
-    c1, c2 = tikhonov_constants(y2, z_inf, P.p_max, Pt.p_max, P.cond * Pt.cond, model)
-    rhs = c1 * float(np.abs(z1 - z2).max()) + c2 * spectral_norm(P.P - Pt.P)
+    z = rng.uniform(-z_inf, z_inf, size=(2, model.n))
+    P1 = _sample_P(rng, model.n, dims)
+    P2 = _sample_P(rng, model.n, dims)
+    return model, y, z, P1, P2, tikhonov_solve(model, z, np.array([y, y]), (P1, P2))
+
+
+def _trial_tikhonov_lipschitz(rng, dims):
+    model, y, z, P1, P2, u = _solve_pair(rng, dims)
+    lhs = float(np.linalg.norm(u[0] - u[1]))
+    c1, c2 = tikhonov_constants(float(np.linalg.norm(y)), dims.bounds.z_inf, P1.p_max, P2.p_max,
+                                P1.cond * P2.cond, model)
+    rhs = c1 * float(np.abs(z[0] - z[1]).max()) + c2 * spectral_norm(P1.P - P2.P)
     return lhs, rhs
 
 
@@ -254,18 +261,11 @@ def _trial_tikhonov_norm(rng, dims):
 
 
 def _trial_datafit_grad(rng, dims):
-    model = _sample_model(rng, dims)
-    z_inf = dims.bounds.z_inf
-    y = rng.standard_normal(model.m)
-    z1 = rng.uniform(-z_inf, z_inf, size=model.n)
-    z2 = rng.uniform(-z_inf, z_inf, size=model.n)
-    P1 = _sample_P(rng, model.n, dims)
-    P2 = _sample_P(rng, model.n, dims)
-    u1, u2 = tikhonov_solve(model, np.array([z1, z2]), np.array([y, y]), (P1, P2))
-    Au1, Au2 = model.A * u1, model.A * u2
-    lhs = float(np.linalg.norm(Au1.T @ (Au1 @ z1 - y) - Au2.T @ (Au2 @ z2 - y)))
-    Lz, Lu = datafit_grad_constants(z_inf, dims.p_max, float(np.linalg.norm(y)), model)
-    rhs = Lz * float(np.linalg.norm(z1 - z2)) + Lu * float(np.linalg.norm(u1 - u2))
+    model, y, z, P1, P2, u = _solve_pair(rng, dims)
+    g = kernels["datafit_grad"](model.A, u, z, y)
+    lhs = float(np.linalg.norm(g[0] - g[1]))
+    Lz, Lu = datafit_grad_constants(dims.bounds.z_inf, dims.p_max, float(np.linalg.norm(y)), model)
+    rhs = Lz * float(np.linalg.norm(z[0] - z[1])) + Lu * float(np.linalg.norm(u[0] - u[1]))
     return lhs, rhs
 
 

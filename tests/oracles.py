@@ -1,7 +1,9 @@
 """Independent reference computations shared by the tests.
 
 These deliberately avoid the package's own code paths: covering counts come
-from an explicit greedy construction, gradients from central finite
+from an explicit greedy construction checked against the volumetric
+bound ``alpha * log1p(2 omega / eps)``, the data-fidelity gradient of one
+row from 2-D @ 1-D products, gradients from central finite
 differences, spectral norms from the symmetric eigenproblem of the Gram
 matrix, the regularized solves from a dense normal-equations solve with
 an explicit inverse, the alternating objective and its scale gradient
@@ -53,6 +55,19 @@ def central_diff_grad(f, x, h=1e-6):
     return g
 
 
+def covering_log_bound(omega, alpha, eps):
+    """Log covering number bound of a radius-omega ball of dimension alpha.
+
+    A radius-omega ball in any norm on R^alpha is covered by at most
+    ``(1 + 2*omega/eps)^alpha`` balls of radius eps.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if alpha < 0 or omega <= 0:
+        raise ValueError("alpha must be nonnegative and omega positive")
+    return alpha * math.log1p(2.0 * omega / eps)
+
+
 def spectral_norm_oracle(M):
     """Largest singular value via the symmetric eigenproblem of M^T M."""
     M = np.atleast_2d(np.asarray(M, dtype=np.float64))
@@ -63,6 +78,12 @@ def tikhonov_oracle(A, z, y, P):
     """Dense normal-equations solve with an explicit covariance inverse."""
     Az = A @ np.diag(z)
     return np.linalg.solve(Az.T @ Az + np.linalg.inv(P), Az.T @ y)
+
+
+def datafit_grad_oracle(A, u, z, y):
+    """Data-fidelity gradient ``A_u^T (A_u z - y)`` of one row, by 2-D @ 1-D products."""
+    Au = A * u
+    return Au.T @ (Au @ z - y)
 
 
 def cost_oracle(u, z, y, A, P, reg=None):
@@ -266,8 +287,8 @@ def _entropy_ref(config, model, y_max):
     log_coeffs = np.log(4.0 * omegas * kjd1 / c_max)
     factors = _log_factor_ref(log_coeffs[None, None, :], cns["log_kappa_kdj"])
     block_sums = np.sqrt(alphas[None, None, :] * factors).sum(axis=(0, 1))
-    is_matrix = alphas > 1.5
-    sums = (term2_cov, float(block_sums[is_matrix].sum()), float(block_sums[~is_matrix].sum()))
+    is_scalar = np.array([shape == () for shape in config.block_shapes()])
+    sums = (term2_cov, float(block_sums[~is_scalar].sum()), float(block_sums[is_scalar].sum()))
     return cns, dim_p, alphas, omegas, kjd1, sums
 
 

@@ -5,12 +5,13 @@ import pytest
 
 from cgbound.backend import active_backend, kernels
 
-from oracles import random_spd
+from oracles import datafit_grad_oracle, random_spd
 
 SEED_BACKEND = 0x5EED_000B
 
 KERNEL_NAMES = {
     "mrelu",
+    "row_norm",
     "ball_project",
     "tikhonov_primal",
     "tikhonov_woodbury",
@@ -35,6 +36,7 @@ def _stacked_calls(rng, m, n, B):
     v = rng.standard_normal((B, n)) * rng.uniform(0.1, 3.0, size=(B, 1))
     return {
         "mrelu": ((v, -0.5, 0.8), (0,)),
+        "row_norm": ((v,), (0,)),
         "ball_project": ((v, np.sqrt(n)), (0,)),
         "tikhonov_primal": ((A, z, y, np.linalg.inv(P)), (1, 2)),
         "tikhonov_woodbury": ((A, z, y, P), (1, 2)),
@@ -57,11 +59,6 @@ def _ref_ball_project(v, radius):
     return v / max(1.0, np.sqrt(np.dot(v, v)) / radius)
 
 
-def _ref_datafit_grad(A, u, z, y):
-    Au = A * u
-    return Au.T @ (Au @ z - y)
-
-
 def _ref_tikhonov_primal(A, z, y, P_inv):
     Az = A * z
     return np.linalg.solve(Az.T @ Az + P_inv, Az.T @ y)
@@ -74,20 +71,21 @@ def _ref_tikhonov_woodbury(A, z, y, P):
 
 
 def _ref_cgnet_step(z, u, y, A, B, mu, a, b, xi):
-    g = _ref_datafit_grad(A, u, z, y) + mu * (np.log(z) / z)
+    g = datafit_grad_oracle(A, u, z, y) + mu * (np.log(z) / z)
     return np.minimum(np.maximum(z - B @ _ref_ball_project(g, xi), a), b)
 
 
 def _ref_drcgnet_vstep(z, u, y, A, delta, xi):
-    return z - delta * _ref_ball_project(_ref_datafit_grad(A, u, z, y), xi)
+    return z - delta * _ref_ball_project(datafit_grad_oracle(A, u, z, y), xi)
 
 
 REFERENCE = {
     "mrelu": lambda x, a, b: np.minimum(np.maximum(x, a), b),
+    "row_norm": lambda v: np.sqrt(np.dot(v, v))[None],
     "ball_project": _ref_ball_project,
     "tikhonov_primal": _ref_tikhonov_primal,
     "tikhonov_woodbury": _ref_tikhonov_woodbury,
-    "datafit_grad": _ref_datafit_grad,
+    "datafit_grad": datafit_grad_oracle,
     "cgnet_step": _ref_cgnet_step,
     "drcgnet_vstep": _ref_drcgnet_vstep,
 }

@@ -11,7 +11,6 @@ from cgbound import bounds
 from cgbound.bounds import (
     LossSpec,
     SweepSpec,
-    covering_log_bound,
     dim_cov,
     dudley_closed_form,
     geb_bound,
@@ -27,6 +26,7 @@ from cgbound.serialize import load_run_config
 
 from oracles import (
     cor1_comparator,
+    covering_log_bound,
     cor2_comparator,
     dudley_integral_quad,
     geb_oracle,
@@ -139,6 +139,14 @@ class TestYmax:
             Y = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal((B, m))
             got = ymax_estimate(self.MODEL, 1.0, "dataset", dataset=Y)
             assert got == max(np.linalg.norm(y) for y in Y)
+
+    def test_dataset_mode_takes_the_norm_of_a_huge_row(self):
+        # the squared norm of the second row overflows; no warning, no inf
+        Y = np.array([[3.0, 4.0], [6e159, 8e159], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ymax_estimate(self.MODEL, 1.0, "dataset", dataset=Y)
+        assert got == pytest.approx(1e160, rel=1e-15)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
@@ -317,6 +325,49 @@ class TestGebBound:
         ref = vals[0]
         for v in vals[1:]:
             assert v == pytest.approx(ref, rel=1e-10)
+
+
+class TestBlockSplit:
+    """term2_weights holds every matrix block and term2_scalars the scalar
+    block, whatever a matrix block's dimension."""
+
+    CONFIGS = {
+        "cgnet_n1": NetworkConfig(variant="cgnet", n=1, K=2, J=1, bounds=SignalBounds.default(),
+                                  p_min=0.5, p_max=2.0, mu_bound=1.0),
+        "drcgnet_kernel1": NetworkConfig(
+            variant="drcgnet", n=4, K=2, J=1, bounds=SignalBounds.default(), p_min=0.5,
+            p_max=2.0, Lc=1, filters=(1, 1), kernels=(1,), weight_bounds=(0.8,), delta=0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_dimension_one_matrix_block_counts_as_weights(self, name):
+        config = self.CONFIGS[name]
+        assert [a for a, _ in config.parameter_dims()] == [1, 1]
+        model = MeasurementModel(FROZEN_A[:, :config.n])
+        loss = LossSpec.mae(config.n, 1.0)
+        rep = geb_bound(config, model, loss, 1000, 0.05, 2.0)
+        kjd1 = rep.inputs["KJD_plus_1"]
+        scale = 8.0 * loss.tau / math.sqrt(1000)
+        want = [scale * sum(math.sqrt(1.0 + math.log1p(4.0 * w * kjd1 * kap))
+                            for kap in rep.constants.kappa_kdj[:, :, d].ravel())
+                for d, (_, w) in enumerate(config.parameter_dims())]
+        assert rep.term2_weights == pytest.approx(want[0], rel=1e-12)
+        assert rep.term2_scalars == pytest.approx(want[1], rel=1e-12)
+
+
+class TestNonFiniteBound:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_terms_raise_a_named_error(self):
+        # finite inputs whose product overflows: term2 = total = inf at the parent
+        run = load_run_config(default_config())
+        y_max = ymax_estimate(run.model, run.bounds.c_max, "noiseless")
+        loss = LossSpec.ssim(tau=1e308)
+        match = r"^the bound overflows float64 at tau = 1e\+308, c = 2\.0 and Ns = 1000:"
+        with pytest.raises(ValueError, match=match):
+            geb_bound(run.network, run.model, loss, 1000, 0.05, y_max)
+        spec = SweepSpec(axis="ns", values=(1000, 10000, 100000, 1000000))
+        with pytest.raises(ValueError, match=match):
+            bounds.sweep_bound(run.network, run.model, loss, spec)
 
 
 class TestLossSpec:

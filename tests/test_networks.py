@@ -256,13 +256,14 @@ class TestForward:
 
     @pytest.mark.filterwarnings("error")
     def test_numerical_failure_names_row(self):
-        # the overflow surfaces as the named failure, with no warning first
+        # the overflow surfaces as the named failure, with no warning first;
+        # with m = n the normal equations' right side A_z^T y overflows
         rng = np.random.default_rng(SEED_NET)
-        model = _model(rng)
+        model = _model(rng, m=8)
         for config in (_cg_config(), _dr_config()):
             theta = sample_parameters(config, 1)
-            Y = rng.standard_normal((4, 4))
-            Y[2] = 1e200
+            Y = rng.standard_normal((4, 8))
+            Y[2] = 1e307
             with pytest.raises(NumericalFailure, match="non-finite values in row 2$"):
                 forward(Y, theta, config, model)
             with pytest.raises(NumericalFailure, match="non-finite values$"):
@@ -290,6 +291,30 @@ class TestForward:
         y = 1e155 * generate_cg_dataset(cfg.dataset_spec).Y[0]
         out = forward(y, theta, cfg.network, cfg.model).output
         assert np.linalg.norm(out) == pytest.approx(cfg.network.bounds.c_max, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["cgnet", "drcgnet", "default"])
+    def test_measurements_above_1e154_run(self, variant):
+        # the data-fit gradient, of size |y|^2, overflows; the clip keeps its
+        # direction, and every other row of a stack keeps its bits
+        rng = np.random.default_rng(SEED_NET)
+        if variant == "default":
+            cfg = load_run_config(default_config())
+            config, model = cfg.network, cfg.model
+        else:
+            config = _cg_config() if variant == "cgnet" else _dr_config()
+            model = _model(rng)
+        theta = sample_parameters(config, 3)
+        for scale in (1e155, 1e160, 1e300):
+            out = forward(scale * np.ones(model.m), theta, config, model).output
+            assert np.all(np.isfinite(out)), scale
+        Y = rng.standard_normal((5, model.m))
+        Y[2] = 1e160 * rng.uniform(0.5, 2.0, size=model.m)
+        trace = forward(Y, theta, config, model)
+        assert np.all(np.isfinite(trace.output))
+        for i, y in enumerate(Y):
+            for got, want in zip(_trace_fields(trace), _trace_fields(forward(y, theta, config, model))):
+                np.testing.assert_array_equal(got[i], want)
 
 
 def _trace_fields(trace):

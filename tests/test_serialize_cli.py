@@ -346,9 +346,20 @@ class TestCli:
         assert err.startswith("error: the network constants overflow float64 at y_max")
         assert "Traceback" not in err
 
+    def test_overflowing_bound_exits_one(self, tmp_path, capsys):
+        cfg = default_config()
+        cfg["loss"] = {"name": "ssim", "tau": 1e308}
+        path = tmp_path / "huge_tau.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the bound overflows float64 at tau = 1e+308")
+        assert "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # the Tikhonov solve's result overflows (forward runs y of 1e200)
         y_path = tmp_path / "y_huge.json"
-        y_path.write_text(json.dumps(array_to_json(np.full(4, 1e200))))
+        y_path.write_text(json.dumps(array_to_json(np.full(4, 1e307))))
         with np.errstate(all="ignore"):
             rc = main(["solve", "--config", "default", "--y", str(y_path)])
         assert rc == 1

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from cgbound.verify import TARGETS, TrialDims, verify_lipschitz
+from cgbound.backend import kernels
+from cgbound.verify import TARGETS, TrialDims, _solve_pair, _trial_rng, verify_lipschitz
+
+from oracles import datafit_grad_oracle
 
 SEED_VER = 0x5EED_0005
 
@@ -102,6 +105,19 @@ def test_theta_sum_adds_in_kjd_order():
         for k, j, d in np.ndindex(shape):
             want += coeffs[k, j, d] * dist[k, j, d]
         assert _theta_sum(coeffs, dist, total) == want
+
+
+def test_datafit_kernel_equals_its_oracle_on_solve_pairs():
+    # the datafit_grad target certifies kernels["datafit_grad"]: on its draws
+    # the kernel gives the bits of the 2-D @ 1-D oracle, 1-D and 2-row
+    dims = TrialDims()
+    for i in range(1000):
+        model, y, z, _, _, u = _solve_pair(_trial_rng(SEED_VER, i), dims)
+        want = np.array([datafit_grad_oracle(model.A, u[r], z[r], y) for r in range(2)])
+        assert kernels["datafit_grad"](model.A, u, z, y).tobytes() == want.tobytes(), i
+        assert kernels["datafit_grad"](model.A, u, z, np.array([y, y])).tobytes() == want.tobytes(), i
+        for r in range(2):
+            assert kernels["datafit_grad"](model.A, u[r], z[r], y).tobytes() == want[r].tobytes(), i
 
 
 def test_identity_covariance_trivial_direction():

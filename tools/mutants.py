@@ -33,6 +33,99 @@ LEDGER = os.path.join(ROOT, "MUTANTS.json")
 Mutant = namedtuple("Mutant", "name file old new tests")
 
 MUTANTS = [
+    # core math of the constants and the bound
+    Mutant(
+        "tikhonov_c1_halved", "lipschitz.py",
+        "c1 = p_max * y_norm2 * a2 * (1.0 + 2.0 * z_inf**2 * p_max_tilde * a2**2)",
+        "c1 = 0.5 * p_max * y_norm2 * a2 * (1.0 + 2.0 * z_inf**2 * p_max_tilde * a2**2)",
+        ["tests/test_bounds.py::TestGebBound::test_frozen_instance",
+         "tests/test_lipschitz.py::TestTikhonovConstants::test_numeric_instance"],
+    ),
+    Mutant(
+        "datafit_lu_halved", "lipschitz.py",
+        "Lu = y_norm2 * a2 * (1.0 + z_inf**2 * p_max * a2 * (a2 + ainf))",
+        "Lu = 0.5 * y_norm2 * a2 * (1.0 + z_inf**2 * p_max * a2 * (a2 + ainf))",
+        ["tests/test_bounds.py::TestGebBound::test_frozen_instance",
+         "tests/test_lipschitz.py::TestDatafitConstants::test_numeric_instance"],
+    ),
+    Mutant(
+        "rhat2_geometric_sum_dropped", "lipschitz.py",
+        "log_rhat2 = log_r2 + _logsumexp(log_r1_pows)",
+        "log_rhat2 = log_r2",
+        ["tests/test_lipschitz.py::TestLayerComposition",
+         "tests/test_bounds.py::TestReferenceAssembly::test_network_constants"],
+    ),
+    Mutant(
+        "chat1_layer_sum_dropped", "lipschitz.py",
+        "log_chat1 = log_c2 + log_rhat2 + _logsumexp(log_q_pows)",
+        "log_chat1 = log_c2 + log_rhat2",
+        ["tests/test_lipschitz.py::TestNetworkConstants::test_two_layer_hand_expansion",
+         "tests/test_bounds.py::TestReferenceAssembly::test_network_constants"],
+    ),
+    Mutant(
+        "kappa_zinf_c2_dropped", "lipschitz.py",
+        "log_kappa = _logaddexp(log_pref + log_chat1, _safe_log(config.bounds.z_inf * c2))",
+        "log_kappa = log_pref + log_chat1",
+        ["tests/test_bounds.py::TestGebBound::test_frozen_instance",
+         "tests/test_bounds.py::TestReferenceAssembly::test_network_constants"],
+    ),
+    Mutant(
+        "term3_four_halved", "bounds.py",
+        "term3 = 4.0 * loss.c * math.sqrt(",
+        "term3 = 2.0 * loss.c * math.sqrt(",
+        ["tests/test_bounds.py::TestGebBound::test_frozen_instance",
+         "tests/test_bounds.py::TestReferenceAssembly::test_geb_bound_and_sample_complexity"],
+    ),
+    Mutant(
+        "cov_factor_four_as_two", "bounds.py",
+        "math.log(4.0 * config.p_max * kjd1 / c_max)",
+        "math.log(2.0 * config.p_max * kjd1 / c_max)",
+        ["tests/test_bounds.py::TestGebBound::test_frozen_instance",
+         "tests/test_bounds.py::TestReferenceAssembly::test_geb_bound_and_sample_complexity"],
+    ),
+    Mutant(
+        "h_max_halved", "lipschitz.py",
+        "H_MAX = math.exp(-1.0)",
+        "H_MAX = 0.5 * math.exp(-1.0)",
+        ["tests/test_lipschitz.py::TestRegularizerExtrema::test_log_over_z_peak"],
+    ),
+    # one copy per formula, huge inputs and the block split
+    Mutant(
+        "covering_term_without_one", "bounds.py",
+        "np.sqrt(alpha * (1.0 + np.logaddexp(0.0, log_ratio)))",
+        "np.sqrt(alpha * np.logaddexp(0.0, log_ratio))",
+        ["tests/test_acceptance.py::test_04_entropy_integral_dominance",
+         "tests/test_bounds.py::TestDudley::test_quadrature_below_closed_form",
+         "tests/test_bounds.py::TestGebBound::test_frozen_instance"],
+    ),
+    Mutant(
+        "row_norm_fallback_dropped", "backend.py",
+        "    if big.any():\n",
+        "    if False:\n",
+        ["tests/test_bounds.py::TestYmax::test_dataset_mode_takes_the_norm_of_a_huge_row",
+         "tests/test_model.py::TestBallProject::test_squared_norm_overflow"],
+    ),
+    Mutant(
+        "block_split_by_dimension", "bounds.py",
+        """    term2_weights = float(np.add.reduce(block_sums[:-1]))  # matrix blocks, any dimension
+    term2_scalars = float(block_sums[-1])""",
+        """    term2_weights = float(np.add.reduce(block_sums[alphas > 1.5]))
+    term2_scalars = float(np.add.reduce(block_sums[alphas < 1.5]))""",
+        ["tests/test_bounds.py::TestBlockSplit"],
+    ),
+    Mutant(
+        "bound_finite_check_dropped", "bounds.py",
+        "    if not all(map(math.isfinite, (term2, term3, total))):\n",
+        "    if False:\n",
+        ["tests/test_bounds.py::TestNonFiniteBound",
+         "tests/test_serialize_cli.py::TestCli::test_overflowing_bound_exits_one"],
+    ),
+    Mutant(
+        "huge_gradient_rows_not_recomputed", "backend.py",
+        "    if huge.any():\n",
+        "    if False:\n",
+        ["tests/test_networks.py::TestForward::test_measurements_above_1e154_run"],
+    ),
     # parameter blocks stacked per block index
     Mutant(
         "sample_blocks_reshape_jk", "networks.py",
