@@ -51,6 +51,6 @@ from .networks import (
     subnet_forward,
     validate_parameters,
 )
-from .verify import TARGETS, TrialDims, VerificationReport, verify_lipschitz
+from .verify import TARGETS, TrialDims, VerificationReport, verify_lipschitz, verify_targets
 
 __version__ = "0.1.0"

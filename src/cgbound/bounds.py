@@ -270,11 +270,22 @@ def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
     return cns, dim_p, alphas, omegas, kjd1, (term2_cov, term2_weights, term2_scalars)
 
 
+def _overflow(loss, Ns, term2, term3):
+    """The named error of a bound that overflows float64."""
+    return ValueError(
+        f"the bound overflows float64 at tau = {loss.tau!r}, c = {loss.c!r} and Ns = {Ns!r}: "
+        f"term2 = {term2!r}, term3 = {term3!r}"
+    )
+
+
 def _ns_terms(config, loss, sums, Ns, eps_conf):
-    """The 1/sqrt(Ns) scale of the entropy sums, term2 and term3 at ``Ns``."""
+    """The 1/sqrt(Ns) scale of the entropy sums, term2 and term3 at ``Ns``;
+    the sum of the two terms must be finite."""
     scale = 8.0 * loss.tau * config.bounds.c_max / math.sqrt(Ns)
     term2 = scale * (sums[0] + sums[1] + sums[2])
     term3 = 4.0 * loss.c * math.sqrt(2.0 * math.log(4.0 / eps_conf) / Ns)
+    if not math.isfinite(term2 + term3):
+        raise _overflow(loss, Ns, term2, term3)
     return scale, term2, term3
 
 
@@ -283,11 +294,8 @@ def _report(config, loss, Ns, eps_conf, y_max, empirical_loss, entropy):
     cns, dim_p, alphas, omegas, kjd1, sums = entropy
     scale, term2, term3 = _ns_terms(config, loss, sums, Ns, eps_conf)
     total = empirical_loss + term2 + term3
-    if not all(map(math.isfinite, (term2, term3, total))):
-        raise ValueError(
-            f"the bound overflows float64 at tau = {loss.tau!r}, c = {loss.c!r} and Ns = {Ns!r}: "
-            f"term2 = {term2!r}, term3 = {term3!r}"
-        )
+    if not math.isfinite(total):
+        raise _overflow(loss, Ns, term2, term3)
     return BoundReport(
         term1=float(empirical_loss),
         term2=float(term2),
@@ -422,7 +430,8 @@ def sample_complexity(config, model, loss, gap, eps_conf, y_max):
     and equals its ``term2 + term3`` bitwise. Both terms scale as
     1/sqrt(Ns), so the block is its value at one sample over sqrt(Ns) and
     the answer is ``ceil((block(1)/gap)^2)``. A few integer steps against
-    the block itself settle the rounding.
+    the block itself settle the rounding. A block that overflows float64
+    raises the named ``ValueError`` of :func:`geb_bound`.
     """
     if not gap > 0:
         raise ValueError(f"gap must be positive, got {gap}")

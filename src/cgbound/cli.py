@@ -29,7 +29,7 @@ from .serialize import (
     load_run_config,
     parameters_from_json,
 )
-from .verify import TARGETS, verify_lipschitz
+from .verify import TARGETS, verify_targets
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -104,13 +104,11 @@ def cmd_verify(args):
     targets = args.target
     if not targets or "all" in targets:
         targets = sorted(TARGETS)
-    reports = []
-    for target in targets:
-        rep = verify_lipschitz(target, args.trials, seed=args.seed)
-        reports.append(rep)
+    reports = verify_targets(targets, args.trials, seed=args.seed)
+    for rep in reports:
         status = "pass" if rep.all_hold else "FAIL"
         print(
-            f"{target:<20} {status}  {rep.passes}/{rep.trials}"
+            f"{rep.target:<20} {status}  {rep.passes}/{rep.trials}"
             f"  median {rep.median_tightness:.3e}  max {rep.max_tightness:.3e}",
             file=sys.stderr,
         )

@@ -180,8 +180,15 @@ def cgnet_scale_step(z, u, y, model, B, mu, bounds):
 
     Clips the gradient to the xi-ball, applies the learned matrix B, and
     clamps the result to [a, b] componentwise. For a ``(T, n)`` stack, B
-    may be a ``(T, n, n)`` stack and mu a ``(T,)`` array, one per row.
+    may be a ``(T, n, n)`` stack and mu a ``(T,)`` array, one per row. A
+    gradient that overflows is recomputed by the kernel, so numpy's
+    warnings about it are silenced, as in :func:`forward`.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cgnet_scale_step(z, u, y, model, B, mu, bounds)
+
+
+def _cgnet_scale_step(z, u, y, model, B, mu, bounds):
     z = np.ascontiguousarray(z, dtype=np.float64)
     u = np.ascontiguousarray(u, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -220,8 +227,14 @@ def drcgnet_scale_step(z, u, y, model, delta, weights, bounds):
     Data-fidelity descent ``z - delta * clip(A_u^T(A_u z - y))`` plus the
     subnetwork output; the caller applies the [0, z_inf] clamp. For a
     ``(T, n)`` stack, delta may be a ``(T,)`` array and each weight a
-    ``(T, r, c)`` stack, one per row.
+    ``(T, r, c)`` stack, one per row. Overflow warnings are silenced as in
+    :func:`cgnet_scale_step`.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _drcgnet_scale_step(z, u, y, model, delta, weights, bounds)
+
+
+def _drcgnet_scale_step(z, u, y, model, delta, weights, bounds):
     z = np.ascontiguousarray(z, dtype=np.float64)
     u = np.ascontiguousarray(u, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -250,13 +263,14 @@ def _initial_scale(y, model, config):
 
 
 def _scale_update(z, u, y, model, theta_kj, config):
+    # the steps without the public ones' errstate: forward holds its own
     b = config.bounds
     if config.variant == "cgnet":
         B, mu = theta_kj
-        out = cgnet_scale_step(z, u, y, model, B, mu, b)
+        out = _cgnet_scale_step(z, u, y, model, B, mu, b)
     else:
         weights = theta_kj[: config.Lc]
-        out = drcgnet_scale_step(z, u, y, model, theta_kj[config.Lc], weights, b)
+        out = _drcgnet_scale_step(z, u, y, model, theta_kj[config.Lc], weights, b)
     return mrelu(out, 0.0, b.z_inf)
 
 

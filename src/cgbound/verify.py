@@ -25,6 +25,9 @@ subnet_lipschitz     joint input/weight sensitivity of the chain
 
 Per-trial randomness is derived from (seed, trial index), so trials are
 independent of execution order and may be distributed across workers.
+``verify_targets`` runs a list of targets in one pass, drawing once per trial
+for the targets that share a draw: ``scale_chain`` and ``network_lipschitz``
+check one forward pair, ``tikhonov_lipschitz`` and ``datafit_grad`` one solve pair.
 """
 
 import math
@@ -58,7 +61,7 @@ from .networks import (
     subnet_forward,
 )
 
-__all__ = ["TARGETS", "TrialDims", "VerificationReport", "verify_lipschitz"]
+__all__ = ["TARGETS", "TrialDims", "VerificationReport", "verify_lipschitz", "verify_targets"]
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -173,7 +176,8 @@ def _spd_inverse_norm(M):
 
 
 # ---------------------------------------------------------------------------
-# per-target trials: each returns (lhs, rhs)
+# per-target trials: each returns (lhs, rhs), or a dict of them by target
+# for the targets that share one draw
 # ---------------------------------------------------------------------------
 
 def _trial_reg_inverse_norm(rng, dims):
@@ -233,13 +237,19 @@ def _solve_pair(rng, dims):
     return model, y, z, P1, P2, tikhonov_solve(model, z, np.array([y, y]), (P1, P2))
 
 
-def _trial_tikhonov_lipschitz(rng, dims):
+def _trial_solve_pair(rng, dims):
+    """``tikhonov_lipschitz`` and ``datafit_grad`` on one solve pair."""
     model, y, z, P1, P2, u = _solve_pair(rng, dims)
     lhs = float(np.linalg.norm(u[0] - u[1]))
     c1, c2 = tikhonov_constants(float(np.linalg.norm(y)), dims.bounds.z_inf, P1.p_max, P2.p_max,
                                 P1.cond * P2.cond, model)
     rhs = c1 * float(np.abs(z[0] - z[1]).max()) + c2 * spectral_norm(P1.P - P2.P)
-    return lhs, rhs
+    tikhonov = lhs, rhs
+    g = kernels["datafit_grad"](model.A, u, z, y)
+    lhs = float(np.linalg.norm(g[0] - g[1]))
+    Lz, Lu = datafit_grad_constants(dims.bounds.z_inf, dims.p_max, float(np.linalg.norm(y)), model)
+    rhs = Lz * float(np.linalg.norm(z[0] - z[1])) + Lu * float(np.linalg.norm(u[0] - u[1]))
+    return {"tikhonov_lipschitz": tikhonov, "datafit_grad": (lhs, rhs)}
 
 
 def _trial_tikhonov_norm(rng, dims):
@@ -258,15 +268,6 @@ def _trial_tikhonov_norm(rng, dims):
     if lhs2 * rhsi > lhsi * rhs2:
         return lhs2, rhs2
     return lhsi, rhsi
-
-
-def _trial_datafit_grad(rng, dims):
-    model, y, z, P1, P2, u = _solve_pair(rng, dims)
-    g = kernels["datafit_grad"](model.A, u, z, y)
-    lhs = float(np.linalg.norm(g[0] - g[1]))
-    Lz, Lu = datafit_grad_constants(dims.bounds.z_inf, dims.p_max, float(np.linalg.norm(y)), model)
-    rhs = Lz * float(np.linalg.norm(z[0] - z[1])) + Lu * float(np.linalg.norm(u[0] - u[1]))
-    return lhs, rhs
 
 
 def _trial_scale_mapping(rng, dims):
@@ -299,7 +300,16 @@ def _trial_scale_mapping(rng, dims):
     return lhs, _theta_sum(cns.r_hat3, dist[0], rhs)
 
 
-def _forward_pair(rng, dims):
+def _theta_sum(coeffs, dist, total):
+    """``total`` plus the coefficient-weighted block distances, added one term
+    at a time in (k, j, d) order (a numpy reduction would reorder the sum)."""
+    for c, x in zip(coeffs.ravel().tolist(), dist.ravel().tolist(), strict=True):
+        total += c * x
+    return total
+
+
+def _trial_forward_pair(rng, dims):
+    """``scale_chain`` and ``network_lipschitz`` on one forward pair."""
     model = _sample_model(rng, dims)
     K, J = _sample_kj(rng, dims)
     config = _sample_config(rng, dims, model.n, K, J)
@@ -309,30 +319,13 @@ def _forward_pair(rng, dims):
     trace = forward(y, (t1, t2), config, model)  # row 0 runs t1, row 1 runs t2
     cns = network_constants_exact(config, model, y, t1.P, t2.P)
     p_dist, dist = parameter_distance(t1, t2)
-    return trace, cns, p_dist, dist
-
-
-def _theta_sum(coeffs, dist, total):
-    """``total`` plus the coefficient-weighted block distances, added one term
-    at a time in (k, j, d) order (a numpy reduction would reorder the sum)."""
-    for c, x in zip(coeffs.ravel().tolist(), dist.ravel().tolist(), strict=True):
-        total += c * x
-    return total
-
-
-def _trial_scale_chain(rng, dims):
-    trace, cns, p_dist, dist = _forward_pair(rng, dims)
     z = trace.z[-1][-1]
     lhs = float(np.linalg.norm(z[0] - z[1]))
     rhs = cns.c_hat1 * p_dist + _theta_sum(cns.c_hat2, dist, 0.0)
-    return lhs, rhs
-
-
-def _trial_network_lipschitz(rng, dims):
-    trace, cns, p_dist, dist = _forward_pair(rng, dims)
+    chain = lhs, rhs
     lhs = float(np.linalg.norm(trace.output[0] - trace.output[1]))
     rhs = cns.kappa * p_dist + _theta_sum(cns.kappa_kdj, dist, 0.0)
-    return lhs, rhs
+    return {"scale_chain": chain, "network_lipschitz": (lhs, rhs)}
 
 
 def _sample_stack(rng, max_width=10):
@@ -369,45 +362,51 @@ TARGETS = {
     "inverse_diff": _trial_inverse_diff,
     "reg_inverse_diff": _trial_reg_inverse_diff,
     "scale_mapping": _trial_scale_mapping,
-    "tikhonov_lipschitz": _trial_tikhonov_lipschitz,
+    "tikhonov_lipschitz": _trial_solve_pair,
     "tikhonov_norm": _trial_tikhonov_norm,
-    "scale_chain": _trial_scale_chain,
-    "network_lipschitz": _trial_network_lipschitz,
-    "datafit_grad": _trial_datafit_grad,
+    "scale_chain": _trial_forward_pair,
+    "network_lipschitz": _trial_forward_pair,
+    "datafit_grad": _trial_solve_pair,
     "subnet_norm": _trial_subnet_norm,
     "subnet_lipschitz": _trial_subnet_lipschitz,
 }
 
 
-def verify_lipschitz(target, trials, dims=None, seed=0):
-    """Run ``trials`` randomized checks of one inequality target.
+def verify_targets(targets, trials, dims=None, seed=0):
+    """Run ``trials`` randomized checks of each inequality target in ``targets``.
 
-    Raises ``ValueError`` for unknown targets. The report records the pass
-    count and the median and maximum tightness ratio lhs/rhs.
+    Returns one report per entry of ``targets``, in order; a repeated name
+    gets equal reports. Trial ``i`` calls each distinct trial function once
+    on the ``(seed, i)`` stream, so targets that share a draw (the forward
+    pair, the solve pair) share it, and each report equals the target's own
+    run. Raises ``ValueError`` for unknown targets. A report records the
+    pass count and the median and maximum tightness ratio lhs/rhs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    try:
-        trial_fn = TARGETS[target]
-    except KeyError:
-        known = ", ".join(sorted(TARGETS))
-        raise ValueError(f"unknown target {target!r}; known targets: {known}") from None
+    groups, pairs = {}, {}  # trial function -> its distinct targets; target -> its (lhs, rhs)
+    for target in dict.fromkeys(targets):
+        if target not in TARGETS:
+            known = ", ".join(sorted(TARGETS))
+            raise ValueError(f"unknown target {target!r}; known targets: {known}")
+        groups.setdefault(TARGETS[target], []).append(target)
+        pairs[target] = []
     dims = dims or TrialDims()
-    passes = 0
-    ratios = np.empty(trials)
     for i in range(trials):
-        lhs, rhs = trial_fn(_trial_rng(seed, i), dims)
-        if lhs <= rhs * (1.0 + REL_TOL) + ABS_TOL:
-            passes += 1
-        if rhs > 0.0:
-            ratios[i] = lhs / rhs
-        else:
-            ratios[i] = 1.0 if lhs <= ABS_TOL else math.inf
-    return VerificationReport(
-        target=target,
-        trials=trials,
-        passes=passes,
-        median_tightness=float(np.median(ratios)),
-        max_tightness=float(ratios.max()),
-        seed=int(seed),
-    )
+        for trial_fn, names in groups.items():
+            got = trial_fn(_trial_rng(seed, i), dims)
+            for target in names:
+                pairs[target].append(got[target] if isinstance(got, dict) else got)
+    reports = {}
+    for target, trial_pairs in pairs.items():
+        passes = int(sum(lhs <= rhs * (1.0 + REL_TOL) + ABS_TOL for lhs, rhs in trial_pairs))
+        ratios = np.array([lhs / rhs if rhs > 0.0 else 1.0 if lhs <= ABS_TOL else math.inf
+                           for lhs, rhs in trial_pairs])
+        reports[target] = VerificationReport(target, trials, passes, float(np.median(ratios)),
+                                             float(ratios.max()), int(seed))
+    return [reports[target] for target in targets]
+
+
+def verify_lipschitz(target, trials, dims=None, seed=0):
+    """The report of :func:`verify_targets` for the one target ``target``."""
+    return verify_targets([target], trials, dims, seed)[0]

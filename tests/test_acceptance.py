@@ -40,7 +40,7 @@ from cgbound.model import MeasurementModel, SignalBounds, SpdMatrix
 from cgbound.networks import NetworkConfig, forward, sample_parameters
 from cgbound.report import default_config, run_gap_suite, run_report, scaling_study_specs
 from cgbound.serialize import load_run_config
-from cgbound.verify import TARGETS, verify_lipschitz
+from cgbound.verify import TARGETS, verify_targets
 
 from oracles import (
     alternating_ls_oracle,
@@ -62,11 +62,10 @@ def test_01_inequality_certification():
     t0 = time.time()
     failed = []
     details = []
-    for target in sorted(TARGETS):
-        rep = verify_lipschitz(target, 10000, seed=ACCEPT_SEED)
+    for rep in verify_targets(sorted(TARGETS), 10000, seed=ACCEPT_SEED):
         if not rep.all_hold:
-            failed.append((target, rep.trials - rep.passes))
-        details.append(f"{target}={rep.passes}/{rep.trials}")
+            failed.append((rep.target, rep.trials - rep.passes))
+        details.append(f"{rep.target}={rep.passes}/{rep.trials}")
     elapsed = time.time() - t0
     ok = not failed
     _line(1, "inequality-certification", ok,

@@ -369,6 +369,31 @@ class TestNonFiniteBound:
         with pytest.raises(ValueError, match=match):
             bounds.sweep_bound(run.network, run.model, loss, spec)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sample_complexity_names_the_overflow(self):
+        # the overflow used to read "gap unattainable below the sample-count ceiling"
+        run = load_run_config(default_config())
+        y_max = ymax_estimate(run.model, run.bounds.c_max, "noiseless")
+        match = r"^the bound overflows float64 at tau = 1e\+308, c = 2\.0 and Ns = 1:"
+        with pytest.raises(ValueError, match=match):
+            sample_complexity(run.network, run.model, LossSpec.ssim(tau=1e308), 1.0, 0.05, y_max)
+        # finite terms near 1e308 each, whose sum overflows
+        term2 = geb_bound(run.network, run.model, LossSpec.ssim(tau=1.0), 1, 0.05, y_max).term2
+        loss = LossSpec(tau=1e308 / term2, c=1e307, name="ssim")
+        with pytest.raises(ValueError, match=r"and Ns = 1: term2 = [\d.]+e\+308, term3 = [\d.]+e\+308$"):
+            sample_complexity(run.network, run.model, loss, 1.0, 0.05, y_max)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_total_raises_a_named_error(self):
+        # finite term2 and term3 whose sum with the empirical loss overflows
+        run = load_run_config(default_config())
+        y_max = ymax_estimate(run.model, run.bounds.c_max, "noiseless")
+        term2 = geb_bound(run.network, run.model, LossSpec.ssim(tau=1.0), 1000, 0.05, y_max).term2
+        loss = LossSpec.ssim(tau=1e308 / term2)
+        assert math.isfinite(geb_bound(run.network, run.model, loss, 1000, 0.05, y_max).total)
+        with pytest.raises(ValueError, match=r"^the bound overflows float64 at .* and Ns = 1000: term2 = "):
+            geb_bound(run.network, run.model, loss, 1000, 0.05, y_max, empirical_loss=1e308)
+
 
 class TestLossSpec:
     def test_mae_constants(self):

@@ -316,6 +316,34 @@ class TestForward:
             for got, want in zip(_trace_fields(trace), _trace_fields(forward(y, theta, config, model))):
                 np.testing.assert_array_equal(got[i], want)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["cgnet", "drcgnet"])
+    def test_public_steps_are_silent_at_huge_y(self, variant):
+        # the kernel recomputes a gradient that overflows; the public steps
+        # silence numpy's warnings about it as forward does, and give
+        # forward's first step bitwise
+        if variant == "cgnet":
+            config, model = _cg_config(), _model(np.random.default_rng(SEED_NET))
+        else:
+            cfg = load_run_config(default_config())
+            config, model = cfg.network, cfg.model
+        theta = sample_parameters(config, 3)
+        step = [b[0, 0] for b in theta.blocks]
+        bounds = config.bounds
+
+        def public_step(z, u, y):
+            if variant == "cgnet":
+                return cgnet_scale_step(z, u, y, model, step[0], step[1], bounds)
+            return drcgnet_scale_step(z, u, y, model, step[-1], step[:-1], bounds)
+
+        for scale in (1e155, 1e300):
+            y = scale * np.ones(model.m)
+            out = public_step(np.full(model.n, 0.5), scale * np.ones(model.n), y)
+            assert np.all(np.isfinite(out)), scale
+            trace = forward(y, theta, config, model)
+            out = public_step(trace.z0, trace.u[0], y)
+            np.testing.assert_array_equal(mrelu(out, 0.0, bounds.z_inf), trace.z[0][0])
+
 
 def _trace_fields(trace):
     return [trace.z0, *(z for zk in trace.z for z in zk), *trace.u, trace.output]

@@ -532,11 +532,12 @@ def test_report_exit_two_on_suite_failure(tmp_path, monkeypatch):
     import cgbound.report as report_mod
     from cgbound.verify import VerificationReport
 
-    def failing(target, trials, dims=None, seed=0):
-        return VerificationReport(target=target, trials=trials, passes=trials - 1,
-                                  median_tightness=0.5, max_tightness=2.0, seed=seed)
+    def failing(targets, trials, dims=None, seed=0):
+        return [VerificationReport(target=target, trials=trials, passes=trials - 1,
+                                   median_tightness=0.5, max_tightness=2.0, seed=seed)
+                for target in targets]
 
-    monkeypatch.setattr(report_mod, "verify_lipschitz", failing)
+    monkeypatch.setattr(report_mod, "verify_targets", failing)
     cfg = _small_config()
     cfg.pop("sweep")
     code = run_report(load_run_config(cfg), str(tmp_path / "out"))

@@ -115,10 +115,9 @@ MUTANTS = [
     ),
     Mutant(
         "bound_finite_check_dropped", "bounds.py",
-        "    if not all(map(math.isfinite, (term2, term3, total))):\n",
+        "    if not math.isfinite(total):\n",
         "    if False:\n",
-        ["tests/test_bounds.py::TestNonFiniteBound",
-         "tests/test_serialize_cli.py::TestCli::test_overflowing_bound_exits_one"],
+        ["tests/test_bounds.py::TestNonFiniteBound::test_overflowing_total_raises_a_named_error"],
     ),
     Mutant(
         "huge_gradient_rows_not_recomputed", "backend.py",
@@ -316,6 +315,47 @@ MUTANTS = [
         "P = np.diag(np.maximum(lam, eps))",
         "P = np.diag(np.abs(lam))",
         ["tests/test_model.py::TestBuildCovariance"],
+    ),
+    # one verify suite, the named sample-count overflow, silent public steps
+    Mutant(
+        "network_lipschitz_gets_scale_chain_pair", "verify.py",
+        'return {"scale_chain": chain, "network_lipschitz": (lhs, rhs)}',
+        'return {"scale_chain": chain, "network_lipschitz": chain}',
+        ["tests/test_verify.py::test_recorded_values"],
+    ),
+    Mutant(
+        "verify_groups_keyed_by_target", "verify.py",
+        "groups.setdefault(TARGETS[target], []).append(target)",
+        "groups[lambda rng, dims, fn=TARGETS[target]: fn(rng, dims)] = [target]",
+        ["tests/test_verify.py::test_shared_draws_run_once_per_trial"],
+    ),
+    Mutant(
+        "verify_repeated_target_tallied_twice", "verify.py",
+        "    for target in dict.fromkeys(targets):\n        if target not in TARGETS:",
+        "    for target in targets:\n        if target not in TARGETS:",
+        ["tests/test_verify.py::test_verify_targets_repeats_orders_and_rejects"],
+    ),
+    Mutant(
+        "sample_complexity_finite_check_dropped", "bounds.py",
+        "    if not math.isfinite(term2 + term3):\n",
+        "    if False:\n",
+        ["tests/test_bounds.py::TestNonFiniteBound::test_sample_complexity_names_the_overflow"],
+    ),
+    Mutant(
+        "cgnet_public_step_without_errstate", "networks.py",
+        """    with np.errstate(over="ignore", invalid="ignore"):
+        return _cgnet_scale_step(""",
+        """    with np.errstate():
+        return _cgnet_scale_step(""",
+        ["tests/test_networks.py::TestForward::test_public_steps_are_silent_at_huge_y[cgnet]"],
+    ),
+    Mutant(
+        "drcgnet_public_step_without_errstate", "networks.py",
+        """    with np.errstate(over="ignore", invalid="ignore"):
+        return _drcgnet_scale_step(""",
+        """    with np.errstate():
+        return _drcgnet_scale_step(""",
+        ["tests/test_networks.py::TestForward::test_public_steps_are_silent_at_huge_y[drcgnet]"],
     ),
 ]
 
