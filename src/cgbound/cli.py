@@ -118,10 +118,7 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args)
-    studies = report_mod.scaling_study_specs(cfg.sweep or {})
-    if args.axis not in studies:
-        raise ConfigError(f"sweep.axis: unknown axis {args.axis!r}")
-    config, model, spec, loss = studies[args.axis]
+    config, model, spec, loss = (cfg.studies or report_mod.scaling_study_specs({}))[args.axis]
     text = report_mod.sweep_csv(config, model, loss, spec)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,43 +1,39 @@
 """End-to-end study orchestration.
 
-``run_report`` executes, per the run configuration: the bound assembly on
-the configured network, the randomized inequality certification suite,
-the scaling-law sweeps, and the empirical-gap suite over a family
-of desk-scale configurations. Results land in an output directory as
-canonical JSON plus fixed-column CSV (axis, term2, term3, total); payloads
-contain no timestamps, so identical (seed, config) pairs reproduce
-byte-identical files.
+``run_report`` runs the named ``STAGES`` in order on a run configuration
+that ``load_run_config`` has checked in full, so a config error raises
+before the output directory exists: ``bound`` (bound.json), ``verify``
+(verify.json), ``scaling`` (sweep_<axis>.csv and scaling.json, when the
+config has a nonempty sweep section) and ``gaps`` (gaps.json). Each stage
+returns its payload files and its failures; ``run_report`` writes the
+files, prints each stage's wall time to stderr and ends with summary.json.
+Payloads are canonical JSON plus fixed-column CSV (axis, term2, term3,
+total) with no timestamps or timings, so identical (seed, config) pairs
+reproduce byte-identical files.
 
 Exit: 0 when all inequality suites pass, 2 when any trial or gap check
-fails (validation problems raise before any compute and map to exit 1 in
-the CLI).
+fails (config errors map to exit 1 in the CLI).
 """
 
 import csv
 import io
 import json
 import os
+import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
 
-from .bounds import (
-    LossSpec,
-    SweepSpec,
-    _check_eps_conf,
-    _check_ns,
-    _fit_rows,
-    geb_bound,
-    sweep_bound,
-    ymax_estimate,
-)
+from .bounds import LossSpec, _fit_rows, geb_bound, sweep_bound, ymax_estimate
 from .datagen import CgDataSpec, empirical_gap, generate_cg_dataset
 from .model import MeasurementModel, SignalBounds, SpdMatrix
 from .networks import NetworkConfig, sample_parameters
-from .serialize import ConfigError, _checked, _get, dumps_canonical
+from .serialize import dumps_canonical, scaling_study_specs
 from .verify import verify_targets
 
 __all__ = [
+    "STAGES",
     "default_config",
     "config_bound",
     "run_report",
@@ -57,13 +53,11 @@ def default_config():
 
 def config_bound(run_config):
     """Generalization bound of the configured network, y_max per ``geb.ymax_mode``."""
+    dataset = None
     if run_config.ymax_mode == "dataset":
-        if run_config.dataset_spec is None:
-            raise ConfigError("geb.ymax_mode=dataset requires a dataset section")
-        data = generate_cg_dataset(run_config.dataset_spec)
-        y_max = ymax_estimate(run_config.model, run_config.bounds.c_max, "dataset", dataset=data.Y)
-    else:
-        y_max = ymax_estimate(run_config.model, run_config.bounds.c_max, run_config.ymax_mode)
+        dataset = generate_cg_dataset(run_config.dataset_spec).Y
+    y_max = ymax_estimate(run_config.model, run_config.bounds.c_max, run_config.ymax_mode,
+                          dataset=dataset)
     return geb_bound(
         run_config.network, run_config.model, run_config.loss,
         run_config.geb_Ns, run_config.eps_conf, y_max,
@@ -71,69 +65,8 @@ def config_bound(run_config):
 
 
 # ---------------------------------------------------------------------------
-# canonical scaling-study configurations
+# scaling-study CSV
 # ---------------------------------------------------------------------------
-
-def scaling_study_specs(sweep_section):
-    """Sweep specs plus the canonical network/model/loss used on each axis.
-
-    The signal-dimension study uses the quadratic-update variant whose
-    matrix-parameter count grows with n, over a model family with
-    polynomially growing operator norms (the regime the scaling laws
-    describe); its loss carries a fixed externally supplied Lipschitz
-    constant, so the per-n bound is not rescaled by the loss. The
-    network-size study uses the learned-regularizer variant on a fixed
-    small model; the sample-count study reuses it.
-    """
-    Ns = _get(sweep_section, "Ns", "sweep", int, required=False, default=10000)
-    _checked("sweep.Ns", _check_ns, Ns)
-    eps = _get(sweep_section, "eps_conf", "sweep", float, required=False, default=0.05)
-    _checked("sweep.eps_conf", _check_eps_conf, eps)
-
-    def spec(axis, key, default):
-        values = _get(sweep_section, key, "sweep", list[float], required=False, default=default)
-        return _checked(f"sweep.{key}", SweepSpec, axis=axis, values=values, Ns=Ns, eps_conf=eps)
-
-    n_spec = spec("n", "n_values", (4, 8, 16, 32, 64))
-    kj_spec = spec("kj", "kj_values", (4, 16, 64, 256, 1024, 4096))
-    ns_spec = spec("ns", "ns_values", (100, 1000, 10000, 100000, 1000000))
-
-    n_config = NetworkConfig(
-        variant="cgnet",
-        n=int(n_spec.values[0]),
-        K=4,
-        J=4,
-        bounds=SignalBounds.default(),
-        p_min=1.0,
-        p_max=1.0,
-        mu_bound=1.0,
-    )
-    n_model = MeasurementModel(np.ones((1, n_config.n)))  # rebuilt per point
-    n_loss = LossSpec.ssim(tau=1.0)
-
-    kj_model = MeasurementModel(2.0 * np.ones((2, 4)))
-    kj_config = NetworkConfig(
-        variant="drcgnet",
-        n=4,
-        K=2,
-        J=2,
-        bounds=SignalBounds.default(),
-        p_min=0.5,
-        p_max=2.0,
-        Lc=2,
-        filters=(1, 2, 1),
-        kernels=(5, 5),
-        weight_bounds=(1.1, 1.1),
-        delta=0.9,
-    )
-    kj_loss = LossSpec.mae(kj_config.n, kj_config.bounds.c_max)
-
-    return {
-        "n": (n_config, n_model, n_spec, n_loss),
-        "kj": (kj_config, kj_model, kj_spec, kj_loss),
-        "ns": (kj_config, kj_model, ns_spec, kj_loss),
-    }
-
 
 def sweep_csv(config, model, loss, spec):
     """Fixed-column CSV (axis, term2, term3, total) for one sweep."""
@@ -200,58 +133,58 @@ def run_gap_suite(suite_size, Ns, test_draws, seed):
 # orchestration
 # ---------------------------------------------------------------------------
 
-def _write(outdir, name, text):
-    path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+def _bound_stage(run_config):
+    return {"bound.json": dumps_canonical(config_bound(run_config).to_dict())}, []
+
+
+def _verify_stage(run_config):
+    reports = verify_targets(run_config.verify_targets, run_config.verify_trials,
+                             seed=run_config.verify_seed)
+    return ({"verify.json": dumps_canonical([rep.to_dict() for rep in reports])},
+            [f"verify:{rep.target}" for rep in reports if not rep.all_hold])
+
+
+def _scaling_stage(run_config):
+    """One sweep per axis feeds both its CSV and its fit."""
+    files, fits = {}, {}
+    for axis, (cfg, mdl, spec, loss) in run_config.studies.items():
+        rows = sweep_bound(cfg, mdl, loss, spec)
+        files[f"sweep_{axis}.csv"] = _csv_rows(rows)
+        fit = asdict(_fit_rows(cfg, mdl, spec, rows))
+        fits[axis] = {k: v for k, v in fit.items() if k != "axis"}
+    if fits:
+        files["scaling.json"] = dumps_canonical(fits)
+    return files, []
+
+
+def _gaps_stage(run_config):
+    gaps = run_gap_suite(run_config.gap_suite_size, run_config.gap_Ns, run_config.gap_test_draws,
+                         run_config.gap_seed)
+    return ({"gaps.json": dumps_canonical([g.to_dict() for g in gaps])},
+            [f"gap:{i}" for i, g in enumerate(gaps) if not g.holds])
+
+
+# name -> stage(run_config) returning ({filename: text}, [failure, ...]), in run order
+STAGES = {"bound": _bound_stage, "verify": _verify_stage, "scaling": _scaling_stage,
+          "gaps": _gaps_stage}
 
 
 def run_report(run_config, outdir):
-    """Execute every configured suite; returns the process exit code."""
+    """Run every stage into ``outdir``, each one's wall time to stderr; returns the exit code."""
     os.makedirs(outdir, exist_ok=True)
-    failures = []
-
-    # the sweep specs and the bound come first, so a config error raises
-    # before any suite runs or any payload is written
-    studies = scaling_study_specs(run_config.sweep) if run_config.sweep else {}
-    bound = config_bound(run_config)
-    _write(outdir, "bound.json", dumps_canonical(bound.to_dict()))
-
-    # inequality certification
-    targets = run_config.verify_targets
-    reports = verify_targets(targets, run_config.verify_trials, seed=run_config.verify_seed)
-    failures += [f"verify:{rep.target}" for rep in reports if not rep.all_hold]
-    _write(outdir, "verify.json", dumps_canonical([rep.to_dict() for rep in reports]))
-
-    # scaling studies: one sweep per axis feeds both its CSV and its fit
-    if studies:
-        fits = {}
-        for axis, (cfg, mdl, spec, loss) in studies.items():
-            rows = sweep_bound(cfg, mdl, loss, spec)
-            _write(outdir, f"sweep_{axis}.csv", _csv_rows(rows))
-            fit = asdict(_fit_rows(cfg, mdl, spec, rows))
-            fits[axis] = {k: v for k, v in fit.items() if k != "axis"}
-        _write(outdir, "scaling.json", dumps_canonical(fits))
-
-    # empirical-gap suite
-    gaps = run_gap_suite(
-        run_config.gap_suite_size, run_config.gap_Ns,
-        run_config.gap_test_draws, run_config.gap_seed,
-    )
-    gap_payload = [g.to_dict() for g in gaps]
-    _write(outdir, "gaps.json", dumps_canonical(gap_payload))
-    for i, g in enumerate(gaps):
-        if not g.holds:
-            failures.append(f"gap:{i}")
-
-    summary = {
-        "failures": failures,
-        "sections": {
-            "verify": {"targets": len(targets), "failed": sum(1 for f in failures if f.startswith("verify"))},
-            "gaps": {"configs": len(gaps), "failed": sum(1 for f in failures if f.startswith("gap"))},
-        },
-        "exit_code": 0 if not failures else 2,
-    }
-    _write(outdir, "summary.json", dumps_canonical(summary))
-    return 0 if not failures else 2
+    failed = {}
+    for name, stage in STAGES.items():
+        t0 = time.perf_counter()
+        files, failed[name] = stage(run_config)
+        for filename, text in files.items():
+            with open(os.path.join(outdir, filename), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        print(f"stage {name:<8} {time.perf_counter() - t0:9.3f} s", file=sys.stderr)
+    failures = [f for stage_failures in failed.values() for f in stage_failures]
+    code = 2 if failures else 0
+    sections = {"verify": {"targets": len(run_config.verify_targets), "failed": len(failed["verify"])},
+                "gaps": {"configs": run_config.gap_suite_size, "failed": len(failed["gaps"])}}
+    summary = {"failures": failures, "sections": sections, "exit_code": code}
+    with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
+        fh.write(dumps_canonical(summary))
+    return code

@@ -176,8 +176,8 @@ def _spd_inverse_norm(M):
 
 
 # ---------------------------------------------------------------------------
-# per-target trials: each returns (lhs, rhs), or a dict of them by target
-# for the targets that share one draw
+# per-target trials: each returns (lhs, rhs), or for the targets that share
+# one draw a dict of zero-argument checks returning it, by target
 # ---------------------------------------------------------------------------
 
 def _trial_reg_inverse_norm(rng, dims):
@@ -238,18 +238,22 @@ def _solve_pair(rng, dims):
 
 
 def _trial_solve_pair(rng, dims):
-    """``tikhonov_lipschitz`` and ``datafit_grad`` on one solve pair."""
+    """The ``tikhonov_lipschitz`` and ``datafit_grad`` checks of one solve pair."""
     model, y, z, P1, P2, u = _solve_pair(rng, dims)
-    lhs = float(np.linalg.norm(u[0] - u[1]))
-    c1, c2 = tikhonov_constants(float(np.linalg.norm(y)), dims.bounds.z_inf, P1.p_max, P2.p_max,
-                                P1.cond * P2.cond, model)
-    rhs = c1 * float(np.abs(z[0] - z[1]).max()) + c2 * spectral_norm(P1.P - P2.P)
-    tikhonov = lhs, rhs
-    g = kernels["datafit_grad"](model.A, u, z, y)
-    lhs = float(np.linalg.norm(g[0] - g[1]))
-    Lz, Lu = datafit_grad_constants(dims.bounds.z_inf, dims.p_max, float(np.linalg.norm(y)), model)
-    rhs = Lz * float(np.linalg.norm(z[0] - z[1])) + Lu * float(np.linalg.norm(u[0] - u[1]))
-    return {"tikhonov_lipschitz": tikhonov, "datafit_grad": (lhs, rhs)}
+
+    def tikhonov():
+        c1, c2 = tikhonov_constants(float(np.linalg.norm(y)), dims.bounds.z_inf, P1.p_max,
+                                    P2.p_max, P1.cond * P2.cond, model)
+        rhs = c1 * float(np.abs(z[0] - z[1]).max()) + c2 * spectral_norm(P1.P - P2.P)
+        return float(np.linalg.norm(u[0] - u[1])), rhs
+
+    def datafit():
+        g = kernels["datafit_grad"](model.A, u, z, y)
+        Lz, Lu = datafit_grad_constants(dims.bounds.z_inf, dims.p_max, float(np.linalg.norm(y)), model)
+        rhs = Lz * float(np.linalg.norm(z[0] - z[1])) + Lu * float(np.linalg.norm(u[0] - u[1]))
+        return float(np.linalg.norm(g[0] - g[1])), rhs
+
+    return {"tikhonov_lipschitz": tikhonov, "datafit_grad": datafit}
 
 
 def _trial_tikhonov_norm(rng, dims):
@@ -309,7 +313,7 @@ def _theta_sum(coeffs, dist, total):
 
 
 def _trial_forward_pair(rng, dims):
-    """``scale_chain`` and ``network_lipschitz`` on one forward pair."""
+    """The ``scale_chain`` and ``network_lipschitz`` checks of one forward pair."""
     model = _sample_model(rng, dims)
     K, J = _sample_kj(rng, dims)
     config = _sample_config(rng, dims, model.n, K, J)
@@ -319,13 +323,17 @@ def _trial_forward_pair(rng, dims):
     trace = forward(y, (t1, t2), config, model)  # row 0 runs t1, row 1 runs t2
     cns = network_constants_exact(config, model, y, t1.P, t2.P)
     p_dist, dist = parameter_distance(t1, t2)
-    z = trace.z[-1][-1]
-    lhs = float(np.linalg.norm(z[0] - z[1]))
-    rhs = cns.c_hat1 * p_dist + _theta_sum(cns.c_hat2, dist, 0.0)
-    chain = lhs, rhs
-    lhs = float(np.linalg.norm(trace.output[0] - trace.output[1]))
-    rhs = cns.kappa * p_dist + _theta_sum(cns.kappa_kdj, dist, 0.0)
-    return {"scale_chain": chain, "network_lipschitz": (lhs, rhs)}
+
+    def chain():
+        z = trace.z[-1][-1]
+        return (float(np.linalg.norm(z[0] - z[1])),
+                cns.c_hat1 * p_dist + _theta_sum(cns.c_hat2, dist, 0.0))
+
+    def network():
+        return (float(np.linalg.norm(trace.output[0] - trace.output[1])),
+                cns.kappa * p_dist + _theta_sum(cns.kappa_kdj, dist, 0.0))
+
+    return {"scale_chain": chain, "network_lipschitz": network}
 
 
 def _sample_stack(rng, max_width=10):
@@ -396,7 +404,7 @@ def verify_targets(targets, trials, dims=None, seed=0):
         for trial_fn, names in groups.items():
             got = trial_fn(_trial_rng(seed, i), dims)
             for target in names:
-                pairs[target].append(got[target] if isinstance(got, dict) else got)
+                pairs[target].append(got[target]() if isinstance(got, dict) else got)
     reports = {}
     for target, trial_pairs in pairs.items():
         passes = int(sum(lhs <= rhs * (1.0 + REL_TOL) + ABS_TOL for lhs, rhs in trial_pairs))

@@ -1,6 +1,8 @@
 """JSON schema round-trips, config validation, and the CLI surface."""
 
+import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -16,7 +18,7 @@ import pytest
 
 import cgbound
 from cgbound.cli import main
-from cgbound.report import config_bound, default_config, run_report
+from cgbound.report import STAGES, config_bound, default_config, run_report
 from cgbound.serialize import (
     ConfigError,
     array_from_json,
@@ -60,6 +62,40 @@ def _small_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _pinned_config():
+    """The small config whose report payloads ``report_recorded.json`` holds."""
+    cfg = _small_config()
+    cfg["verify"] = {"targets": ["datafit_grad", "scale_chain", "gram_diff", "network_lipschitz",
+                                 "gram_diff"], "trials": 20, "seed": 3}
+    return cfg
+
+
+def _parsed_payload(path):
+    """A payload file as data: JSON parsed, CSV as its header and float rows."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)
+    header, *rows = csv.reader(io.StringIO(text))
+    return [header] + [[float(v) for v in row] for row in rows]
+
+
+def _assert_matches(got, want, where):
+    """Exact keys, strings, ints and bools; floats within 1e-12 relative."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+    else:
+        assert got == want, where
 
 
 class TestArraySchema:
@@ -318,10 +354,10 @@ class TestCli:
         del cfg["dataset"]
         with pytest.raises(ConfigError, match="geb.ymax_mode=dataset"):
             config_bound(load_run_config(cfg))
-        # the report raises before any suite runs or writes a payload
+        # the config raises at load, before the report makes its output directory
         with pytest.raises(ConfigError, match="geb.ymax_mode=dataset"):
             run_report(load_run_config(cfg), str(tmp_path / "out"))
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
         path = tmp_path / "no_dataset.json"
         path.write_text(json.dumps(cfg))
         assert main(["bound", "--config", str(path)]) == 1
@@ -439,6 +475,42 @@ class TestReport:
             assert fits[axis]["exponent"] == fit.exponent
             assert fits[axis]["fitted"] == list(fit.fitted)
 
+    def test_payloads_match_the_recorded_report(self, tmp_path, capsys):
+        # report_recorded.json was written by an earlier version of the code, so
+        # this pins the payloads across versions, not only between two runs
+        want = json.loads((Path(__file__).parent / "report_recorded.json").read_text())
+        out = tmp_path / "out"
+        assert run_report(load_run_config(_pinned_config()), str(out)) == 0
+        assert sorted(os.listdir(out)) == sorted(want)
+        for name, payload in want.items():
+            _assert_matches(_parsed_payload(out / name), payload, name)
+        # one timing line per stage on stderr, in order, and none in the payloads
+        lines = capsys.readouterr().err.splitlines()
+        stages = [re.fullmatch(r"stage (\w+) +\d+\.\d{3} s", line) for line in lines]
+        assert [m and m.group(1) for m in stages] == list(STAGES)
+        assert list(STAGES) == ["bound", "verify", "scaling", "gaps"]
+
+    @pytest.mark.parametrize("sweep", [None, {}], ids=["missing", "empty"])
+    def test_no_sweep_section_means_no_studies(self, tmp_path, capsys, sweep):
+        import cgbound.report as report_mod
+
+        cfg = _small_config(sweep=sweep)
+        if sweep is None:
+            cfg.pop("sweep")
+        assert load_run_config(cfg).studies == {}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        # cgbound sweep falls back on the default studies
+        assert main(["sweep", "--config", str(path), "--axis", "ns"]) == 0
+        out = capsys.readouterr().out
+        config, model, spec, loss = report_mod.scaling_study_specs({})["ns"]
+        assert out == report_mod.sweep_csv(config, model, loss, spec)
+        assert out.splitlines()[0] == "axis,term2,term3,total" and len(out.splitlines()) == 6
+        # the report writes no sweep files
+        assert run_report(load_run_config(cfg), str(tmp_path / "out")) == 0
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "bound.json", "gaps.json", "summary.json", "verify.json"]
+
     def test_report_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg = _small_config()
@@ -545,3 +617,31 @@ def test_report_exit_two_on_suite_failure(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["exit_code"] == 2
     assert any(f.startswith("verify:") for f in summary["failures"])
+
+
+def test_each_stage_failures_reach_the_summary(tmp_path, monkeypatch):
+    import dataclasses
+
+    import cgbound.report as report_mod
+    from cgbound.verify import VerificationReport
+
+    def verify_failing_last(targets, trials, dims=None, seed=0):
+        return [VerificationReport(target=target, trials=trials,
+                                   passes=trials - (target == targets[-1]),
+                                   median_tightness=0.5, max_tightness=2.0, seed=seed)
+                for target in targets]
+
+    def gaps_failing_second(*args, _run=report_mod.run_gap_suite):
+        return [dataclasses.replace(g, holds=i != 1) for i, g in enumerate(_run(*args))]
+
+    monkeypatch.setattr(report_mod, "verify_targets", verify_failing_last)
+    monkeypatch.setattr(report_mod, "run_gap_suite", gaps_failing_second)
+    cfg = _small_config()
+    cfg.pop("sweep")
+    assert run_report(load_run_config(cfg), str(tmp_path / "out")) == 2
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary == {
+        "exit_code": 2,
+        "failures": ["verify:subnet_norm", "gap:1"],
+        "sections": {"gaps": {"configs": 2, "failed": 1}, "verify": {"failed": 1, "targets": 2}},
+    }

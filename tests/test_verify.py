@@ -249,3 +249,20 @@ def test_verify_targets_repeats_orders_and_rejects():
         verify_targets(["gram_diff", "triangle_inequality"], 10)
     with pytest.raises(ValueError, match="^trials must be >= 1$"):
         verify_targets(["gram_diff"], 0)
+
+
+def test_lone_shared_target_runs_only_its_own_check(monkeypatch):
+    # a target that shares its solve pair computes none of its partner's constants
+    calls = {"tikhonov_constants": 0, "datafit_grad_constants": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(verify_mod, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, name, counted)
+    verify_lipschitz("datafit_grad", 10, seed=SEED_VER)
+    assert calls == {"tikhonov_constants": 0, "datafit_grad_constants": 10}
+    verify_lipschitz("tikhonov_lipschitz", 10, seed=SEED_VER)
+    assert calls == {"tikhonov_constants": 10, "datafit_grad_constants": 10}
+    verify_targets(["datafit_grad", "tikhonov_lipschitz"], 10, seed=SEED_VER)
+    assert calls == {"tikhonov_constants": 20, "datafit_grad_constants": 20}

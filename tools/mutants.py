@@ -319,7 +319,7 @@ MUTANTS = [
     # one verify suite, the named sample-count overflow, silent public steps
     Mutant(
         "network_lipschitz_gets_scale_chain_pair", "verify.py",
-        'return {"scale_chain": chain, "network_lipschitz": (lhs, rhs)}',
+        'return {"scale_chain": chain, "network_lipschitz": network}',
         'return {"scale_chain": chain, "network_lipschitz": chain}',
         ["tests/test_verify.py::test_recorded_values"],
     ),
@@ -356,6 +356,26 @@ MUTANTS = [
         """    with np.errstate():
         return _drcgnet_scale_step(""",
         ["tests/test_networks.py::TestForward::test_public_steps_are_silent_at_huge_y[drcgnet]"],
+    ),
+    # report stages over a config checked at load; shared verify checks run on demand
+    Mutant(
+        "report_gap_failures_left_out_of_summary", "report.py",
+        "failures = [f for stage_failures in failed.values() for f in stage_failures]",
+        'failures = failed["verify"]',
+        ["tests/test_serialize_cli.py::test_each_stage_failures_reach_the_summary"],
+    ),
+    Mutant(
+        "run_config_dataset_check_dropped", "serialize.py",
+        '        if self.ymax_mode == "dataset" and self.dataset_spec is None:\n',
+        "        if False:\n",
+        ["tests/test_serialize_cli.py::TestCli::test_dataset_ymax_needs_dataset"],
+    ),
+    Mutant(
+        "verify_shared_checks_eager", "verify.py",
+        "            got = trial_fn(_trial_rng(seed, i), dims)\n",
+        "            got = trial_fn(_trial_rng(seed, i), dims)\n"
+        "            got = {k: (lambda v=f(): v) for k, f in got.items()} if isinstance(got, dict) else got\n",
+        ["tests/test_verify.py::test_lone_shared_target_runs_only_its_own_check"],
     ),
 ]
 
