@@ -36,11 +36,12 @@ def _mrelu(x, a, b):
 
 
 def _row_norm(v):
-    """``(..., 1)`` Euclidean row norms; a row whose squared norm overflows is
-    rescaled by its largest entry, the rest keep their bits."""
+    """``(..., 1)`` Euclidean row norms; a finite row whose squared norm
+    overflows is rescaled by its largest entry, the rest keep their bits."""
     nrm = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0])
     big = np.isinf(nrm[..., 0])
     if big.any():
+        big = big & np.isfinite(v).all(axis=-1)  # a row holding inf keeps norm inf
         w = v[big]
         s = np.abs(w).max(axis=-1, keepdims=True)
         nrm[big] = s * np.linalg.norm(w / s, axis=-1, keepdims=True)

@@ -11,7 +11,7 @@ network size, and sample count.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -105,26 +105,11 @@ class BoundReport:
     inputs: dict = field(repr=False)
 
     def to_dict(self):
-        cns = self.constants
-        return {
-            "term1": self.term1,
-            "term2": self.term2,
-            "term3": self.term3,
-            "total": self.total,
-            "term2_cov": self.term2_cov,
-            "term2_weights": self.term2_weights,
-            "term2_scalars": self.term2_scalars,
-            "constants": {
-                "c1": cns.c1,
-                "c2": cns.c2,
-                "r_hat1": cns.r_hat1,
-                "r_hat2": cns.r_hat2,
-                "c_hat1": cns.c_hat1,
-                "kappa": cns.kappa,
-                "log_kappa": cns.log_kappa,
-            },
-            "inputs": self.inputs,
-        }
+        # the fields read shallowly, so the constants' arrays are not deep-copied
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        names = ("c1", "c2", "r_hat1", "r_hat2", "c_hat1", "kappa", "log_kappa")
+        out["constants"] = {name: getattr(self.constants, name) for name in names}
+        return out
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ pass, and ``mae_loss`` scores all of them at once.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -119,16 +119,7 @@ class GapReport:
     test_stderr: float
 
     def to_dict(self):
-        return {
-            "empirical_gap": self.empirical_gap,
-            "bound_total": self.bound_total,
-            "holds": self.holds,
-            "trials": self.trials,
-            "seed": self.seed,
-            "train_loss": self.train_loss,
-            "test_loss": self.test_loss,
-            "test_stderr": self.test_stderr,
-        }
+        return asdict(self)
 
 
 def empirical_gap(theta, config, loss, train_spec, test_draws, seed):
@@ -149,14 +140,7 @@ def empirical_gap(theta, config, loss, train_spec, test_draws, seed):
         raise ValueError("test_draws must be >= 1")
     model = train_spec.model
     train = generate_cg_dataset(train_spec)
-    test_spec = CgDataSpec(
-        model=model,
-        sigma_u=train_spec.sigma_u,
-        bounds=train_spec.bounds,
-        Ns=test_draws,
-        seed=seed,
-    )
-    test = generate_cg_dataset(test_spec)
+    test = generate_cg_dataset(replace(train_spec, Ns=test_draws, seed=seed))
     out = forward(np.concatenate([train.Y, test.Y]), theta, config, model).output
     losses = mae_loss(out, np.concatenate([train.C, test.C]))
     train_losses, test_losses = losses[: len(train)], losses[len(train):]

@@ -19,6 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .backend import kernels
+
 __all__ = [
     "H_MAX",
     "TAU_H",
@@ -316,8 +318,6 @@ def network_constants_exact(config, model, y, P, P_tilde):
     """
     y = np.asarray(y, dtype=np.float64)
     y_inf = float(np.abs(y).max()) if y.size else 0.0
-    with np.errstate(over="ignore"):  # an overflowing square is recomputed below
-        y_norm = float(np.linalg.norm(y))
-    if math.isinf(y_norm) and math.isfinite(y_inf):
-        y_norm = y_inf * float(np.linalg.norm(y / y_inf))
+    with np.errstate(over="ignore"):  # the kernel rescales an overflowing square
+        y_norm = float(kernels["row_norm"](y)[0])
     return _chain(config, model, y_norm, (P, P_tilde, y_inf))

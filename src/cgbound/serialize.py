@@ -198,22 +198,23 @@ def _parse_model(sec):
             raise ConfigError(f"model.{key}: must be >= 1, got {size}")
     sigma = _get(sec, "sigma", "model", float, required=False, default=0.0)
     mat = _get(sec, "matrix", "model")
-    if isinstance(mat, dict) and "generator" in mat:
-        gen = mat["generator"]
-        scale = _get(mat, "scale", "model.matrix", float, required=False, default=1.0)
-        if gen == "gaussian":
-            rng = np.random.default_rng(
-                _get(mat, "seed", "model.matrix", int, required=False, default=0))
-            A = scale * rng.standard_normal((m, n))
-        elif gen == "ones":
-            A = scale * np.ones((m, n))
+    with np.errstate(over="ignore"):  # MeasurementModel screens the overflow, naming it
+        if isinstance(mat, dict) and "generator" in mat:
+            gen = mat["generator"]
+            scale = _get(mat, "scale", "model.matrix", float, required=False, default=1.0)
+            if gen == "gaussian":
+                rng = np.random.default_rng(
+                    _get(mat, "seed", "model.matrix", int, required=False, default=0))
+                A = scale * rng.standard_normal((m, n))
+            elif gen == "ones":
+                A = scale * np.ones((m, n))
+            else:
+                raise ConfigError(f"model.matrix.generator: unknown generator {gen!r}")
         else:
-            raise ConfigError(f"model.matrix.generator: unknown generator {gen!r}")
-    else:
-        A = array_from_json(mat, "model.matrix")
-    if A.shape != (m, n):
-        raise ConfigError(f"model.matrix: shape {A.shape} does not match (m, n) = ({m}, {n})")
-    return _checked("model", MeasurementModel, A, sigma=sigma)
+            A = array_from_json(mat, "model.matrix")
+        if A.shape != (m, n):
+            raise ConfigError(f"model.matrix: shape {A.shape} does not match (m, n) = ({m}, {n})")
+        return _checked("model", MeasurementModel, A, sigma=sigma)
 
 
 def _parse_bounds(sec):

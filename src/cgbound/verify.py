@@ -31,7 +31,7 @@ check one forward pair, ``tikhonov_lipschitz`` and ``datafit_grad`` one solve pa
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -100,17 +100,7 @@ class VerificationReport:
         return self.passes == self.trials
 
     def to_dict(self):
-        return {
-            "target": self.target,
-            "trials": self.trials,
-            "passes": self.passes,
-            "all_hold": self.all_hold,
-            "median_tightness": self.median_tightness,
-            "max_tightness": self.max_tightness,
-            "seed": self.seed,
-            "rel_tol": REL_TOL,
-            "abs_tol": ABS_TOL,
-        }
+        return {**asdict(self), "all_hold": self.all_hold, "rel_tol": REL_TOL, "abs_tol": ABS_TOL}
 
 
 def _trial_rng(seed, index):

@@ -131,3 +131,16 @@ def test_parameter_stack_equals_row_calls(name):
         msg = f"m={m} n={n} T={T}"
         np.testing.assert_array_equal(out, np.stack([kernels[name](*r) for r in rows]), err_msg=msg)
         np.testing.assert_array_equal(out, np.stack([REFERENCE[name](*r) for r in rows]), err_msg=msg)
+
+
+def test_row_norm_of_a_row_holding_inf_is_inf():
+    # a row holding inf has norm inf, with no warning; a huge finite row in the
+    # same stack is still rescaled and a small one keeps its bits
+    row_norm = kernels["row_norm"]
+    for v in ([np.inf, 1.0], [-np.inf, np.inf], [0.0, -np.inf, 2.0]):
+        np.testing.assert_array_equal(row_norm(np.array(v)), [np.inf])
+    v = np.array([[1e200, 1e200], [np.inf, 0.0], [3.0, 4.0]])
+    with np.errstate(over="ignore"):  # the finite huge row's square overflows
+        out = row_norm(v)
+    np.testing.assert_array_equal(out[1:], [[np.inf], [5.0]])
+    np.testing.assert_allclose(out[0], [2**0.5 * 1e200], rtol=1e-15)

@@ -335,6 +335,40 @@ class TestCli:
             array_from_json(est), array_from_json(trace["output"]), rtol=1e-12, atol=1e-15
         )
 
+    @pytest.mark.parametrize("command", ["bound", "verify", "solve", "forward"])
+    def test_payload_matches_the_recorded_output(self, tmp_path, capsys, command):
+        # cli_recorded.json was written by an earlier version of the code, so
+        # this pins each command's stdout payload across versions
+        want = json.loads((Path(__file__).parent / "cli_recorded.json").read_text())[command]
+        cfg_path, y_path = tmp_path / "cfg.json", tmp_path / "y.json"
+        cfg_path.write_text(json.dumps(_small_config()))
+        y_path.write_text(json.dumps(array_to_json(np.array([0.4, -0.2, 0.1, 0.3]))))
+        inputs = ["--config", str(cfg_path), "--y", str(y_path), "--param-seed", "5"]
+        argv = {
+            "bound": ["bound", "--config", "default"],
+            "verify": ["verify", "--trials", "100", "--seed", "7",
+                       "--target", "datafit_grad", "--target", "scale_chain"],
+            "solve": ["solve", *inputs],
+            "forward": ["forward", *inputs],
+        }[command]
+        assert main(argv) == 0
+        _assert_matches(json.loads(capsys.readouterr().out), want, command)
+
+    @pytest.mark.parametrize("matrix", [
+        {"generator": "gaussian", "scale": 1e308, "seed": 7},
+        {"shape": [4, 8], "data": [1e308] * 32},
+    ], ids=["generator_scale", "explicit"])
+    def test_overflowing_matrix_is_one_error_line(self, tmp_path, matrix):
+        # the load-time overflow is screened by name, with no numpy warning
+        cfg = _small_config()
+        cfg["model"]["matrix"] = matrix
+        path = tmp_path / "huge_matrix.json"
+        path.write_text(json.dumps(cfg))
+        proc = _run_from_source(["-m", "cgbound", "bound", "--config", str(path)], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == ("configuration error: model: A must have finite entries "
+                               "and row sums, got norm_inf=inf\n")
+
     def test_sweep_csv_columns(self, capsys):
         rc = main(["sweep", "--config", "default", "--axis", "ns"])
         assert rc == 0

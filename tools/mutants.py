@@ -103,7 +103,9 @@ MUTANTS = [
         "    if big.any():\n",
         "    if False:\n",
         ["tests/test_bounds.py::TestYmax::test_dataset_mode_takes_the_norm_of_a_huge_row",
-         "tests/test_model.py::TestBallProject::test_squared_norm_overflow"],
+         "tests/test_model.py::TestBallProject::test_squared_norm_overflow",
+         "tests/test_lipschitz.py::TestOverflowingConstants::"
+         "test_exact_constants_take_the_true_norm_of_a_huge_y"],
     ),
     Mutant(
         "block_split_by_dimension", "bounds.py",
@@ -215,13 +217,6 @@ MUTANTS = [
         ["tests/test_serialize_cli.py::TestArraySchema::test_malformed_array_names_its_field"],
     ),
     # huge measurement norms and dataset sizes
-    Mutant(
-        "exact_norm_not_rescaled", "lipschitz.py",
-        "    if math.isinf(y_norm) and math.isfinite(y_inf):\n",
-        "    if False:\n",
-        ["tests/test_lipschitz.py::TestOverflowingConstants::"
-         "test_exact_constants_take_the_true_norm_of_a_huge_y"],
-    ),
     Mutant(
         "dataspec_ns_range_only", "datagen.py",
         "        _check_ns(self.Ns)\n",
@@ -376,6 +371,25 @@ MUTANTS = [
         "            got = trial_fn(_trial_rng(seed, i), dims)\n"
         "            got = {k: (lambda v=f(): v) for k, f in got.items()} if isinstance(got, dict) else got\n",
         ["tests/test_verify.py::test_lone_shared_target_runs_only_its_own_check"],
+    ),
+    # payloads from the dataclass fields; a row norm of inf; silent model overflow
+    Mutant(
+        "row_norm_inf_row_rescaled", "backend.py",
+        "        big = big & np.isfinite(v).all(axis=-1)  # a row holding inf keeps norm inf\n",
+        "",
+        ["tests/test_backend.py::test_row_norm_of_a_row_holding_inf_is_inf"],
+    ),
+    Mutant(
+        "model_parse_overflow_warns", "serialize.py",
+        'with np.errstate(over="ignore"):  # MeasurementModel screens the overflow',
+        'with np.errstate():  # MeasurementModel screens the overflow',
+        ["tests/test_serialize_cli.py::TestCli::test_overflowing_matrix_is_one_error_line"],
+    ),
+    Mutant(
+        "verify_payload_drops_all_hold", "verify.py",
+        '"all_hold": self.all_hold, ',
+        "",
+        ["tests/test_serialize_cli.py::TestCli::test_payload_matches_the_recorded_output"],
     ),
 ]
 
