@@ -72,7 +72,10 @@ class CgDataset:
 
 
 def generate_cg_dataset(spec):
-    """Draw ``Ns`` (measurement, signal) pairs, deterministically in the seed."""
+    """Draw ``Ns`` (measurement, signal) pairs, deterministically in the seed.
+
+    A ``model.sigma`` whose noise overflows the measurements raises ``ValueError``.
+    """
     rng = np.random.default_rng(spec.seed)
     model, b = spec.model, spec.bounds
     n, m, Ns = model.n, model.m, spec.Ns
@@ -91,7 +94,10 @@ def generate_cg_dataset(spec):
 
     Y = C @ model.A.T
     if model.sigma > 0.0:
-        Y = Y + model.sigma * rng.standard_normal((Ns, m))
+        with np.errstate(over="ignore"):
+            Y = Y + model.sigma * rng.standard_normal((Ns, m))
+        if not np.isfinite(Y).all():
+            raise ValueError(f"model.sigma = {model.sigma!r} makes the noisy measurements overflow")
     return CgDataset(Y=Y, C=C, Z=Z, U=U, scales=scales)
 
 

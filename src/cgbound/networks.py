@@ -252,14 +252,15 @@ def _per_row(c, z, name):
 
 
 def _initial_scale(y, model, config):
-    """Normalized back-projection clamped into the admissible scale region.
-
-    The lower clamp is 0 for drcgnet; for cgnet it is the clamp floor ``a``
-    so that the log-regularizer gradient is defined at the first update.
-    """
+    """Normalized back-projection clamped into the admissible scale region."""
     z_init = (model.A.T @ y[..., None])[..., 0] / model.norm2
-    lo = config.bounds.a if config.variant == "cgnet" else 0.0
-    return mrelu(z_init, lo, config.bounds.z_inf)
+    return mrelu(z_init, _scale_floor(config), config.bounds.z_inf)
+
+
+def _scale_floor(config):
+    """Lower end of the admissible scale region: 0 for drcgnet; for cgnet the
+    clamp floor ``a``, so that the log-regularizer gradient is defined."""
+    return config.bounds.a if config.variant == "cgnet" else 0.0
 
 
 def _scale_update(z, u, y, model, theta_kj, config):
@@ -272,6 +273,15 @@ def _scale_update(z, u, y, model, theta_kj, config):
         weights = theta_kj[: config.Lc]
         out = _drcgnet_scale_step(z, u, y, model, theta_kj[config.Lc], weights, b)
     return mrelu(out, 0.0, b.z_inf)
+
+
+def _layer(z, u, y, model, blocks, k, config):
+    """The J scale iterates of layer ``k + 1``, from ``z`` with the Gaussian estimate ``u``."""
+    zk = []
+    for j in range(config.J):
+        z = _scale_update(z, u, y, model, [b[k, j] for b in blocks], config)
+        zk.append(z)
+    return tuple(zk)
 
 
 def _stack_blocks(grids):
@@ -319,11 +329,8 @@ def forward(y, theta, config, model):
         us = [u]
         zs = []
         for k in range(config.K):
-            zk = []
-            for j in range(config.J):
-                z = _scale_update(z, u, y, model, [b[k, j] for b in blocks], config)
-                zk.append(z)
-            zs.append(tuple(zk))
+            zs.append(_layer(z, u, y, model, blocks, k, config))
+            z = zs[-1][-1]
             u = tikhonov_solve(model, z, y, P)
             us.append(u)
         output = ball_project(z * u, config.bounds.c_max)

@@ -91,7 +91,8 @@ def gap_suite(suite_size, Ns, test_draws, seed):
     """Desk-scale (config, parameters, data) family for the gap study.
 
     Alternates both variants over a grid of sizes; every entry is
-    deterministic in the master seed.
+    deterministic in the master seed. ``test_draws`` is not used here; the
+    parameter stays so that positional callers keep working.
     """
     bounds = SignalBounds.default()
     entries = []

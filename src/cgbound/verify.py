@@ -6,7 +6,10 @@ their balls, Gaussian estimates as regularized least-squares images of
 admissible scales), evaluates both sides of one inequality, and records
 whether ``lhs <= rhs * (1 + 1e-9) + 1e-12`` together with the tightness
 ratio lhs/rhs. A left side that the networks compute (data-fit gradient,
-Tikhonov solve, forward pass, ReLU chain) runs the package's own kernels.
+Tikhonov solve, forward pass, ReLU chain) runs the package's own kernels;
+the 2-row scale chain of ``scale_mapping`` runs ``forward``'s layer loop.
+The solve-level targets draw their model, measurement, scale rows and
+covariances through one helper, ``_draw``.
 
 Targets
 -------
@@ -51,8 +54,9 @@ from .model import (
 from .networks import (
     NetworkConfig,
     _block_norms,
+    _layer,
     _sample_blocks,
-    _scale_update,
+    _scale_floor,
     _stack_blocks,
     forward,
     parameter_distance,
@@ -126,43 +130,36 @@ def _sample_kj(rng, dims):
 
 
 def _sample_config(rng, dims, n, K, J):
+    shared = dict(n=n, K=K, J=J, bounds=dims.bounds, p_min=dims.p_min, p_max=dims.p_max)
     if rng.integers(2) == 0:
-        return NetworkConfig(
-            variant="cgnet",
-            n=n,
-            K=K,
-            J=J,
-            bounds=dims.bounds,
-            p_min=dims.p_min,
-            p_max=dims.p_max,
-            mu_bound=dims.mu_bound,
-        )
+        return NetworkConfig(variant="cgnet", mu_bound=dims.mu_bound, **shared)
     Lc = int(rng.integers(1, dims.lc_max + 1))
     filters = [1] + [int(rng.integers(1, 3)) for _ in range(Lc - 1)] + [1]
     return NetworkConfig(
         variant="drcgnet",
-        n=n,
-        K=K,
-        J=J,
-        bounds=dims.bounds,
-        p_min=dims.p_min,
-        p_max=dims.p_max,
         Lc=Lc,
         filters=tuple(filters),
         kernels=tuple(int(rng.integers(1, 4)) for _ in range(Lc)),
         weight_bounds=tuple(rng.uniform(dims.w_lo, dims.w_hi, size=Lc)),
         delta=dims.delta,
+        **shared,
     )
 
 
-def _admissible_scale(rng, config):
-    # reachable region of the scale iterates: cgnet keeps them in [a, b]
-    lo = config.bounds.a if config.variant == "cgnet" else 0.0
-    return rng.uniform(lo, config.bounds.z_inf, size=config.n)
+def _admissible_scales(rng, config):
+    """Two scale rows in the region the iterates reach: cgnet keeps them in [a, b]."""
+    return rng.uniform(_scale_floor(config), config.bounds.z_inf, size=(2, config.n))
 
 
-def _spd_inverse_norm(M):
-    return float(1.0 / np.linalg.eigvalsh(M)[0])
+def _draw(rng, dims, rows, covariances, measurement=False):
+    """``(model, y, z, Ps)`` drawn in that order: a model, a measurement ``y``
+    (None unless ``measurement``), a ``(rows, n)`` stack of scales in the
+    z_inf ball, and a list of ``covariances`` covariances. One ``(rows, n)``
+    uniform draw reads the stream as ``rows`` n-vector draws do."""
+    model = _sample_model(rng, dims)
+    y = rng.standard_normal(model.m) if measurement else None
+    z = rng.uniform(-dims.bounds.z_inf, dims.bounds.z_inf, size=(rows, model.n))
+    return model, y, z, [_sample_P(rng, model.n, dims) for _ in range(covariances)]
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +168,16 @@ def _spd_inverse_norm(M):
 # ---------------------------------------------------------------------------
 
 def _trial_reg_inverse_norm(rng, dims):
-    model = _sample_model(rng, dims)
-    z = rng.uniform(-dims.bounds.z_inf, dims.bounds.z_inf, size=model.n)
-    P = _sample_P(rng, model.n, dims)
+    model, _, (z,), (P,) = _draw(rng, dims, 1, 1)
     Az = model.A * z
-    M = Az.T @ Az + P.P_inv
-    return _spd_inverse_norm(M), P.p_max
+    return float(1.0 / np.linalg.eigvalsh(Az.T @ Az + P.P_inv)[0]), P.p_max
 
 
 def _trial_gram_diff(rng, dims):
-    model = _sample_model(rng, dims)
-    z_inf = dims.bounds.z_inf
-    z1 = rng.uniform(-z_inf, z_inf, size=model.n)
-    z2 = rng.uniform(-z_inf, z_inf, size=model.n)
+    model, _, (z1, z2), _ = _draw(rng, dims, 2, 0)
     A1, A2 = model.A * z1, model.A * z2
     lhs = spectral_norm(A2.T @ A2 - A1.T @ A1)
-    rhs = 2.0 * z_inf * model.norm2**2 * float(np.abs(z1 - z2).max())
+    rhs = 2.0 * dims.bounds.z_inf * model.norm2**2 * float(np.abs(z1 - z2).max())
     return lhs, rhs
 
 
@@ -200,30 +191,20 @@ def _trial_inverse_diff(rng, dims):
 
 
 def _trial_reg_inverse_diff(rng, dims):
-    model = _sample_model(rng, dims)
-    z_inf = dims.bounds.z_inf
-    z1 = rng.uniform(-z_inf, z_inf, size=model.n)
-    z2 = rng.uniform(-z_inf, z_inf, size=model.n)
-    P = _sample_P(rng, model.n, dims)
-    Pt = _sample_P(rng, model.n, dims)
+    model, _, (z1, z2), (P, Pt) = _draw(rng, dims, 2, 2)
     A1, A2 = model.A * z1, model.A * z2
     M1, M2 = np.linalg.inv(np.array([A1.T @ A1 + P.P_inv, A2.T @ A2 + Pt.P_inv]))
     lhs = spectral_norm(M1 - M2)
-    rhs = 2.0 * z_inf * model.norm2**2 * P.p_max * Pt.p_max * float(
+    rhs = 2.0 * dims.bounds.z_inf * model.norm2**2 * P.p_max * Pt.p_max * float(
         np.abs(z1 - z2).max()
     ) + P.cond * Pt.cond * spectral_norm(P.P - Pt.P)
     return lhs, rhs
 
 
 def _solve_pair(rng, dims):
-    """``(model, y, z, P1, P2, u)``: two ``(2, n)`` scale rows, as two n-vector
-    draws, and the rows ``u`` of their Tikhonov solves with y, P1 and y, P2."""
-    model = _sample_model(rng, dims)
-    z_inf = dims.bounds.z_inf
-    y = rng.standard_normal(model.m)
-    z = rng.uniform(-z_inf, z_inf, size=(2, model.n))
-    P1 = _sample_P(rng, model.n, dims)
-    P2 = _sample_P(rng, model.n, dims)
+    """``(model, y, z, P1, P2, u)``: two scale rows ``z`` and the rows ``u``
+    of their Tikhonov solves with y, P1 and y, P2."""
+    model, y, z, (P1, P2) = _draw(rng, dims, 2, 2, measurement=True)
     return model, y, z, P1, P2, tikhonov_solve(model, z, np.array([y, y]), (P1, P2))
 
 
@@ -247,11 +228,7 @@ def _trial_solve_pair(rng, dims):
 
 
 def _trial_tikhonov_norm(rng, dims):
-    model = _sample_model(rng, dims)
-    z_inf = dims.bounds.z_inf
-    y = rng.standard_normal(model.m)
-    z = rng.uniform(-z_inf, z_inf, size=model.n)
-    P = _sample_P(rng, model.n, dims)
+    model, y, (z,), (P,) = _draw(rng, dims, 1, 1, measurement=True)
     t = tikhonov_solve(model, z, y, P)
     zi = float(np.abs(z).max())
     lhs2 = float(np.linalg.norm(t))
@@ -271,26 +248,20 @@ def _trial_scale_mapping(rng, dims):
     y = rng.standard_normal(model.m)
     P1 = _sample_P(rng, model.n, dims, config.cov_structure)
     P2 = _sample_P(rng, model.n, dims, config.cov_structure)
-    s = np.array([_admissible_scale(rng, config), _admissible_scale(rng, config)])
     yy = np.array([y, y])
-    u = tikhonov_solve(model, s, yy, (P1, P2))
-    u1, u2 = u
-    z1 = _admissible_scale(rng, config)
-    z2 = _admissible_scale(rng, config)
+    u = tikhonov_solve(model, _admissible_scales(rng, config), yy, (P1, P2))
+    z = _admissible_scales(rng, config)
     b1, b2 = _sample_blocks(config, rng), _sample_blocks(config, rng)
 
-    # both chains as one 2-row chain
-    blocks = _stack_blocks((b1, b2))
-    a = np.array([z1, z2])
-    for j in range(J):
-        a = _scale_update(a, u, yy, model, [b[0, j] for b in blocks], config)
+    # both chains as one 2-row chain through forward's layer loop
+    a = _layer(z, u, yy, model, _stack_blocks((b1, b2)), 0, config)[-1]
     lhs = float(np.linalg.norm(a[0] - a[1]))
 
     # K = 1, so the layer constants are the J-fold composition itself
     cns = network_constants_exact(config, model, y, P1, P2)
     dist = _block_norms([x1 - x2 for x1, x2 in zip(b1, b2)])
-    rhs = cns.r_hat1 * float(np.linalg.norm(z1 - z2))
-    rhs += cns.r_hat2 * float(np.linalg.norm(u1 - u2))
+    rhs = cns.r_hat1 * float(np.linalg.norm(z[0] - z[1]))
+    rhs += cns.r_hat2 * float(np.linalg.norm(u[0] - u[1]))
     return lhs, _theta_sum(cns.r_hat3, dist[0], rhs)
 
 

@@ -43,6 +43,10 @@ class TestGenerate:
         noisy = generate_cg_dataset(_spec(sigma=0.3))
         assert not np.allclose(quiet.Y, noisy.Y)
 
+    def test_overflowing_noise_names_sigma(self):
+        with pytest.raises(ValueError, match="model.sigma"):
+            generate_cg_dataset(_spec(sigma=1e308))
+
     def test_deterministic_in_seed(self):
         a = generate_cg_dataset(_spec())
         b = generate_cg_dataset(_spec())

@@ -369,6 +369,16 @@ class TestCli:
         assert proc.stderr == ("configuration error: model: A must have finite entries "
                                "and row sums, got norm_inf=inf\n")
 
+    def test_overflowing_noise_is_one_error_line(self, tmp_path):
+        # the dataset that sets y_max screens its noise by name, with no numpy warning
+        cfg = _small_config()
+        cfg["model"]["sigma"] = 1e308
+        path = tmp_path / "huge_sigma.json"
+        path.write_text(json.dumps(cfg))
+        proc = _run_from_source(["-m", "cgbound", "bound", "--config", str(path)], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: model.sigma = 1e+308 makes the noisy measurements overflow\n"
+
     def test_sweep_csv_columns(self, capsys):
         rc = main(["sweep", "--config", "default", "--axis", "ns"])
         assert rc == 0

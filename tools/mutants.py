@@ -391,6 +391,33 @@ MUTANTS = [
         "",
         ["tests/test_serialize_cli.py::TestCli::test_payload_matches_the_recorded_output"],
     ),
+    # one draw helper and forward's layer loop in verify; the screened noise
+    Mutant(
+        "verify_draw_covariances_before_scales", "verify.py",
+        """    z = rng.uniform(-dims.bounds.z_inf, dims.bounds.z_inf, size=(rows, model.n))
+    return model, y, z, [_sample_P(rng, model.n, dims) for _ in range(covariances)]""",
+        """    Ps = [_sample_P(rng, model.n, dims) for _ in range(covariances)]
+    z = rng.uniform(-dims.bounds.z_inf, dims.bounds.z_inf, size=(rows, model.n))
+    return model, y, z, Ps""",
+        ["tests/test_verify.py::test_recorded_values",
+         "tests/test_verify.py::test_verify_targets_gives_the_recorded_values_with_custom_dims"],
+    ),
+    Mutant(
+        "layer_last_iterate_dropped", "networks.py",
+        """        z = _scale_update(z, u, y, model, [b[k, j] for b in blocks], config)
+        zk.append(z)""",
+        """        zk.append(z)
+        z = _scale_update(z, u, y, model, [b[k, j] for b in blocks], config)""",
+        ["tests/test_verify.py::test_recorded_values",
+         "tests/test_serialize_cli.py::TestCli::test_payload_matches_the_recorded_output"],
+    ),
+    Mutant(
+        "datagen_sigma_screen_dropped", "datagen.py",
+        "        if not np.isfinite(Y).all():\n",
+        "        if False:\n",
+        ["tests/test_datagen.py::TestGenerate::test_overflowing_noise_names_sigma",
+         "tests/test_serialize_cli.py::TestCli::test_overflowing_noise_is_one_error_line"],
+    ),
 ]
 
 
