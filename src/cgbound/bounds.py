@@ -17,7 +17,8 @@ import numpy as np
 
 from .backend import kernels
 from .lipschitz import network_constants
-from .model import MeasurementModel
+from .model import MeasurementModel, SignalBounds
+from .networks import NetworkConfig
 
 __all__ = [
     "LossSpec",
@@ -28,6 +29,7 @@ __all__ = [
     "dudley_closed_form",
     "ymax_estimate",
     "geb_bound",
+    "scaling_study",
     "sweep_bound",
     "scaling_fit",
     "sample_complexity",
@@ -105,10 +107,12 @@ class BoundReport:
     inputs: dict = field(repr=False)
 
     def to_dict(self):
-        # the fields read shallowly, so the constants' arrays are not deep-copied
+        # the fields read shallowly, so the constants' arrays are not deep-copied;
+        # a non-finite constant (an overflowing linear value, the log of 0) reads null
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         names = ("c1", "c2", "r_hat1", "r_hat2", "c_hat1", "kappa", "log_kappa")
-        out["constants"] = {name: getattr(self.constants, name) for name in names}
+        constants = (getattr(self.constants, name) for name in names)
+        out["constants"] = {name: v if math.isfinite(v) else None for name, v in zip(names, constants)}
         return out
 
 
@@ -126,14 +130,9 @@ class ScalingFit:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-axis sweep description for the scaling studies.
-
-    axis = "n":  rebuilds the model per point as ``n^6`` times the all-ones
-    1 x n matrix (operator norms grow polynomially, as the scaling laws
-    assume) and resizes the network; axis = "kj": fixed model, K and J
-    are factored from each value (square when possible); axis = "ns": only
-    the sample count varies.
-    """
+    """The axis ("n", "kj" or "ns") of a scaling study, its values (at least
+    4 positive integers spanning a decade), the sample count of each point
+    off the ``ns`` axis and the confidence; see :func:`scaling_study`."""
 
     axis: str
     values: tuple
@@ -331,6 +330,48 @@ def _factor_kj(v):
     if r * r == v:
         return r, r
     return int(v), 1
+
+
+def scaling_study(spec):
+    """The ``(config, model, spec, loss)`` that :func:`sweep_bound` sweeps along ``spec.axis``.
+
+    axis = "n": the quadratic-update variant, whose matrix-parameter count
+    grows with n, resized per point over ``_sweep_model(n)`` (``n^6`` times
+    the all-ones 1 x n matrix: operator norms grow polynomially, the regime
+    the scaling laws describe); the model returned is the first point's.
+    Its loss carries a fixed supplied Lipschitz constant, so the per-n bound
+    is not rescaled by the loss. axis = "kj": the learned-regularizer
+    variant on a fixed small model, K and J factored from each value
+    (square when possible). axis = "ns": the kj study; only Ns varies.
+    """
+    if spec.axis == "n":
+        config = NetworkConfig(
+            variant="cgnet",
+            n=int(spec.values[0]),
+            K=4,
+            J=4,
+            bounds=SignalBounds.default(),
+            p_min=1.0,
+            p_max=1.0,
+            mu_bound=1.0,
+        )
+        return config, _sweep_model(config.n), spec, LossSpec.ssim(tau=1.0)
+    config = NetworkConfig(
+        variant="drcgnet",
+        n=4,
+        K=2,
+        J=2,
+        bounds=SignalBounds.default(),
+        p_min=0.5,
+        p_max=2.0,
+        Lc=2,
+        filters=(1, 2, 1),
+        kernels=(5, 5),
+        weight_bounds=(1.1, 1.1),
+        delta=0.9,
+    )
+    model = MeasurementModel(2.0 * np.ones((2, 4)))
+    return config, model, spec, LossSpec.mae(config.n, config.bounds.c_max)
 
 
 def sweep_bound(config, model, loss, spec):

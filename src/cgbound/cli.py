@@ -18,6 +18,7 @@ import json
 import sys
 
 from . import report as report_mod
+from .bounds import scaling_study, sweep_bound
 from .datagen import generate_cg_dataset
 from .model import NumericalFailure
 from .networks import forward, sample_parameters
@@ -28,6 +29,7 @@ from .serialize import (
     dumps_canonical,
     load_run_config,
     parameters_from_json,
+    sweep_specs,
 )
 from .verify import TARGETS, verify_targets
 
@@ -118,8 +120,8 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args)
-    config, model, spec, loss = (cfg.studies or report_mod.scaling_study_specs({}))[args.axis]
-    text = report_mod.sweep_csv(config, model, loss, spec)
+    config, model, spec, loss = scaling_study((cfg.sweeps or sweep_specs({}))[args.axis])
+    text = report_mod.sweep_csv(sweep_bound(config, model, loss, spec))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -15,8 +15,6 @@ Exit: 0 when all inequality suites pass, 2 when any trial or gap check
 fails (config errors map to exit 1 in the CLI).
 """
 
-import csv
-import io
 import json
 import os
 import sys
@@ -25,11 +23,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bounds import LossSpec, _fit_rows, geb_bound, sweep_bound, ymax_estimate
+from .bounds import LossSpec, _fit_rows, geb_bound, scaling_study, sweep_bound, ymax_estimate
 from .datagen import CgDataSpec, empirical_gap, generate_cg_dataset
 from .model import MeasurementModel, SignalBounds, SpdMatrix
 from .networks import NetworkConfig, sample_parameters
-from .serialize import dumps_canonical, scaling_study_specs
+from .serialize import dumps_canonical, sweep_specs
 from .verify import verify_targets
 
 __all__ = [
@@ -65,22 +63,19 @@ def config_bound(run_config):
 
 
 # ---------------------------------------------------------------------------
-# scaling-study CSV
+# scaling studies
 # ---------------------------------------------------------------------------
 
-def sweep_csv(config, model, loss, spec):
-    """Fixed-column CSV (axis, term2, term3, total) for one sweep."""
-    return _csv_rows(sweep_bound(config, model, loss, spec))
+def scaling_study_specs(sweep_section):
+    """``{axis: (config, model, spec, loss)}``: :func:`bounds.scaling_study` of
+    each spec that the sweep section describes."""
+    return {axis: scaling_study(spec) for axis, spec in sweep_specs(sweep_section).items()}
 
 
-def _csv_rows(rows):
-    """``sweep_csv`` of the rows ``sweep_bound`` returned."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["axis", "term2", "term3", "total"])
-    for v, rep, _ in rows:
-        writer.writerow([repr(v), repr(rep.term2), repr(rep.term3), repr(rep.total)])
-    return buf.getvalue()
+def sweep_csv(rows):
+    """Fixed-column CSV (axis, term2, term3, total) of the rows ``sweep_bound`` returned."""
+    lines = [f"{v!r},{rep.term2!r},{rep.term3!r},{rep.total!r}\n" for v, rep, _ in rows]
+    return "".join(["axis,term2,term3,total\n", *lines])
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +143,10 @@ def _verify_stage(run_config):
 def _scaling_stage(run_config):
     """One sweep per axis feeds both its CSV and its fit."""
     files, fits = {}, {}
-    for axis, (cfg, mdl, spec, loss) in run_config.studies.items():
+    for axis, spec in run_config.sweeps.items():
+        cfg, mdl, spec, loss = scaling_study(spec)
         rows = sweep_bound(cfg, mdl, loss, spec)
-        files[f"sweep_{axis}.csv"] = _csv_rows(rows)
+        files[f"sweep_{axis}.csv"] = sweep_csv(rows)
         fit = asdict(_fit_rows(cfg, mdl, spec, rows))
         fits[axis] = {k: v for k, v in fit.items() if k != "axis"}
     if fits:

@@ -27,12 +27,15 @@ into the SPD matrix it describes.
 Fields are read by type only: an integer is a number with an integral
 value, a float is a finite number, and a JSON boolean is neither. Range
 checks belong to the objects the fields build. ``load_run_config`` is the
-one reader of this schema: it builds every section, the sweep's scaling
-studies included, and checks that ``geb.ymax_mode=dataset`` has a dataset
-section, so every config error raises at load. Every validation error
-carries the JSON path of the offending field. All payload writers use a
-canonical encoding (sorted keys, fixed float repr), so equal inputs
-produce byte-identical files.
+one reader of this schema: it builds every section, the sweep section as
+one ``SweepSpec`` per axis (``bounds.scaling_study`` builds a study when
+it runs), and checks that ``geb.ymax_mode=dataset`` has a dataset section,
+so every config error raises at load. Every validation error carries the
+JSON path of the offending field. All payload writers use a canonical
+encoding (sorted keys, fixed float repr), so equal inputs produce
+byte-identical files. Payloads are strict JSON: a non-finite float (an
+overflowing linear constant, the log of 0, an infinite tightness ratio)
+is written as ``null``, and ``dumps_canonical`` refuses any other.
 """
 
 import json
@@ -57,7 +60,7 @@ __all__ = [
     "parameters_to_json",
     "parameters_from_json",
     "RunConfig",
-    "scaling_study_specs",
+    "sweep_specs",
 ]
 
 
@@ -120,7 +123,7 @@ def array_from_json(obj, path="array"):
 
 
 def dumps_canonical(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def parameters_to_json(theta):
@@ -315,69 +318,24 @@ def _parse_loss(sec, n, c_max):
     raise ConfigError(f"loss.name: unknown loss {name!r}")
 
 
-def scaling_study_specs(sweep_section):
-    """Sweep specs plus the canonical network/model/loss used on each axis.
-
-    The signal-dimension study uses the quadratic-update variant whose
-    matrix-parameter count grows with n, over a model family with
-    polynomially growing operator norms (the regime the scaling laws
-    describe); its loss carries a fixed externally supplied Lipschitz
-    constant, so the per-n bound is not rescaled by the loss. The
-    network-size study uses the learned-regularizer variant on a fixed
-    small model; the sample-count study reuses it.
-    """
+def sweep_specs(sweep_section):
+    """``{axis: SweepSpec}`` of a sweep section, each field defaulted and checked."""
     Ns = _get(sweep_section, "Ns", "sweep", int, required=False, default=10000)
     _checked("sweep.Ns", _check_ns, Ns)
     eps = _get(sweep_section, "eps_conf", "sweep", float, required=False, default=0.05)
     _checked("sweep.eps_conf", _check_eps_conf, eps)
-
-    def spec(axis, key, default):
+    defaults = {"n": (4, 8, 16, 32, 64), "kj": (4, 16, 64, 256, 1024, 4096),
+                "ns": (100, 1000, 10000, 100000, 1000000)}
+    specs = {}
+    for axis, default in defaults.items():
+        key = f"{axis}_values"
         values = _get(sweep_section, key, "sweep", list[float], required=False, default=default)
-        return _checked(f"sweep.{key}", SweepSpec, axis=axis, values=values, Ns=Ns, eps_conf=eps)
-
-    n_spec = spec("n", "n_values", (4, 8, 16, 32, 64))
-    kj_spec = spec("kj", "kj_values", (4, 16, 64, 256, 1024, 4096))
-    ns_spec = spec("ns", "ns_values", (100, 1000, 10000, 100000, 1000000))
-
-    n_config = NetworkConfig(
-        variant="cgnet",
-        n=int(n_spec.values[0]),
-        K=4,
-        J=4,
-        bounds=SignalBounds.default(),
-        p_min=1.0,
-        p_max=1.0,
-        mu_bound=1.0,
-    )
-    n_model = MeasurementModel(np.ones((1, n_config.n)))  # rebuilt per point
-    n_loss = LossSpec.ssim(tau=1.0)
-
-    kj_model = MeasurementModel(2.0 * np.ones((2, 4)))
-    kj_config = NetworkConfig(
-        variant="drcgnet",
-        n=4,
-        K=2,
-        J=2,
-        bounds=SignalBounds.default(),
-        p_min=0.5,
-        p_max=2.0,
-        Lc=2,
-        filters=(1, 2, 1),
-        kernels=(5, 5),
-        weight_bounds=(1.1, 1.1),
-        delta=0.9,
-    )
-    kj_loss = LossSpec.mae(kj_config.n, kj_config.bounds.c_max)
-
-    return {
-        "n": (n_config, n_model, n_spec, n_loss),
-        "kj": (kj_config, kj_model, kj_spec, kj_loss),
-        "ns": (kj_config, kj_model, ns_spec, kj_loss),
-    }
+        specs[axis] = _checked(f"sweep.{key}", SweepSpec, axis=axis, values=values, Ns=Ns, eps_conf=eps)
+    return specs
 
 
 class RunConfig:
-    """Parsed run configuration (schema above); ``studies`` is {} for a missing or empty sweep."""
+    """Parsed run configuration (schema above); ``sweeps`` is {} for a missing or empty sweep."""
 
     def __init__(self, raw):
         if not isinstance(raw, dict):
@@ -430,7 +388,7 @@ class RunConfig:
             raise ConfigError("verify.trials: must be >= 1")
 
         sw = _section(raw, "sweep", required=False)
-        self.studies = scaling_study_specs(sw) if sw else {}
+        self.sweeps = sweep_specs(sw) if sw else {}
 
         gap = _section(raw, "gap", required=False) or {}
         self.gap_suite_size = _get(gap, "suite_size", "gap", int, required=False, default=20)

@@ -104,7 +104,9 @@ class VerificationReport:
         return self.passes == self.trials
 
     def to_dict(self):
-        return {**asdict(self), "all_hold": self.all_hold, "rel_tol": REL_TOL, "abs_tol": ABS_TOL}
+        out = {**asdict(self), "all_hold": self.all_hold, "rel_tol": REL_TOL, "abs_tol": ABS_TOL}
+        # a failing trial can make a tightness ratio inf, written as null
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in out.items()}
 
 
 def _trial_rng(seed, index):

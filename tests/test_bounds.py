@@ -22,7 +22,7 @@ from cgbound.lipschitz import network_constants, network_constants_exact
 from cgbound.model import MeasurementModel, SignalBounds
 from cgbound.networks import NetworkConfig, sample_covariance
 from cgbound.report import default_config, scaling_study_specs
-from cgbound.serialize import load_run_config
+from cgbound.serialize import dumps_canonical, load_run_config
 
 from oracles import (
     cor1_comparator,
@@ -393,6 +393,15 @@ class TestNonFiniteBound:
         assert math.isfinite(geb_bound(run.network, run.model, loss, 1000, 0.05, y_max).total)
         with pytest.raises(ValueError, match=r"^the bound overflows float64 at .* and Ns = 1000: term2 = "):
             geb_bound(run.network, run.model, loss, 1000, 0.05, y_max, empirical_loss=1e308)
+
+    def test_log_of_a_zero_constant_is_written_as_null(self):
+        # y_max = 0 makes kappa 0, whose log is -inf
+        run = load_run_config(default_config())
+        payload = geb_bound(run.network, run.model, run.loss, 1000, 0.05, 0.0).to_dict()
+        assert payload["constants"]["kappa"] == 0.0 and payload["constants"]["log_kappa"] is None
+        assert json.loads(dumps_canonical(payload))["constants"]["log_kappa"] is None
+        with pytest.raises(ValueError, match="JSON compliant"):
+            dumps_canonical({"log_kappa": -math.inf})
 
 
 class TestLossSpec:

@@ -72,13 +72,23 @@ def _pinned_config():
     return cfg
 
 
+def _parsed_csv(text):
+    """CSV text as its header and float rows."""
+    header, *rows = csv.reader(io.StringIO(text))
+    return [header] + [[float(v) for v in row] for row in rows]
+
+
 def _parsed_payload(path):
     """A payload file as data: JSON parsed, CSV as its header and float rows."""
     text = path.read_text()
-    if path.suffix == ".json":
-        return json.loads(text)
-    header, *rows = csv.reader(io.StringIO(text))
-    return [header] + [[float(v) for v in row] for row in rows]
+    return json.loads(text) if path.suffix == ".json" else _parsed_csv(text)
+
+
+def _strict_loads(text):
+    """``json.loads`` that raises on NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-finite constant {name} in a payload")
+    return json.loads(text, parse_constant=refuse)
 
 
 def _assert_matches(got, want, where):
@@ -140,6 +150,23 @@ class TestRunConfig:
         assert cfg.loss.name == "mae"
         assert cfg.dataset_spec is not None
         assert cfg.verify_targets == sorted(TARGETS)
+
+    def test_load_builds_no_scaling_study(self, monkeypatch):
+        # the config's own model is the one model a load builds; the studies
+        # are built from their sweep specs when they run
+        from cgbound.model import MeasurementModel
+
+        built = []
+        original = MeasurementModel.__post_init__
+
+        def counted(self):
+            built.append(self.A.shape)
+            original(self)
+
+        monkeypatch.setattr(MeasurementModel, "__post_init__", counted)
+        cfg = load_run_config(default_config())
+        assert built == [(4, 8)]
+        assert [spec.axis for spec in cfg.sweeps.values()] == ["n", "kj", "ns"]
 
     def test_default_config_is_fresh(self):
         # callers mutate the returned dict; the next call must not see it
@@ -335,7 +362,8 @@ class TestCli:
             array_from_json(est), array_from_json(trace["output"]), rtol=1e-12, atol=1e-15
         )
 
-    @pytest.mark.parametrize("command", ["bound", "verify", "solve", "forward"])
+    @pytest.mark.parametrize("command", ["bound", "verify", "solve", "forward",
+                                         "sweep_n", "sweep_kj", "sweep_ns"])
     def test_payload_matches_the_recorded_output(self, tmp_path, capsys, command):
         # cli_recorded.json was written by an earlier version of the code, so
         # this pins each command's stdout payload across versions
@@ -350,9 +378,14 @@ class TestCli:
                        "--target", "datafit_grad", "--target", "scale_chain"],
             "solve": ["solve", *inputs],
             "forward": ["forward", *inputs],
+            "sweep_n": ["sweep", "--config", "default", "--axis", "n"],
+            "sweep_kj": ["sweep", "--config", "default", "--axis", "kj"],
+            "sweep_ns": ["sweep", "--config", "default", "--axis", "ns"],
         }[command]
         assert main(argv) == 0
-        _assert_matches(json.loads(capsys.readouterr().out), want, command)
+        out = capsys.readouterr().out
+        _assert_matches(_parsed_csv(out) if command.startswith("sweep") else json.loads(out),
+                        want, command)
 
     @pytest.mark.parametrize("matrix", [
         {"generator": "gaussian", "scale": 1e308, "seed": 7},
@@ -378,6 +411,32 @@ class TestCli:
         proc = _run_from_source(["-m", "cgbound", "bound", "--config", str(path)], tmp_path)
         assert proc.returncode == 1
         assert proc.stderr == "error: model.sigma = 1e+308 makes the noisy measurements overflow\n"
+
+    def test_overflowing_constants_are_written_as_null(self, tmp_path, capsys):
+        # at K = J = 8 the linear constants overflow float64 and their logs do not
+        cfg = default_config()
+        cfg["network"].update(K=8, J=8)
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound", "--config", str(path)]) == 0
+        constants = _strict_loads(capsys.readouterr().out)["constants"]
+        assert constants["c_hat1"] is None and constants["kappa"] is None
+        assert math.isfinite(constants["log_kappa"])
+
+    def test_infinite_tightness_is_written_as_null(self, monkeypatch, capsys):
+        import cgbound.cli as cli_mod
+        from cgbound.verify import VerificationReport
+
+        def verify_failing(targets, trials, dims=None, seed=0):
+            return [VerificationReport(target=target, trials=trials, passes=trials - 1,
+                                       median_tightness=0.5, max_tightness=math.inf, seed=seed)
+                    for target in targets]
+
+        monkeypatch.setattr(cli_mod, "verify_targets", verify_failing)
+        assert main(["verify", "--trials", "3", "--target", "gram_diff"]) == 2
+        (payload,) = _strict_loads(capsys.readouterr().out)
+        assert payload["max_tightness"] is None and payload["median_tightness"] == 0.5
+        assert payload["all_hold"] is False
 
     def test_sweep_csv_columns(self, capsys):
         rc = main(["sweep", "--config", "default", "--axis", "ns"])
@@ -514,7 +573,7 @@ class TestReport:
         fits = json.loads((tmp_path / "out" / "scaling.json").read_text())
         for axis, (c, mdl, spec, loss) in report_mod.scaling_study_specs(cfg["sweep"]).items():
             text = (tmp_path / "out" / f"sweep_{axis}.csv").read_text()
-            assert text == report_mod.sweep_csv(c, mdl, loss, spec)
+            assert text == report_mod.sweep_csv(bounds_mod.sweep_bound(c, mdl, loss, spec))
             fit = bounds_mod.scaling_fit(c, mdl, loss, spec)
             assert fits[axis]["exponent"] == fit.exponent
             assert fits[axis]["fitted"] == list(fit.fitted)
@@ -541,14 +600,14 @@ class TestReport:
         cfg = _small_config(sweep=sweep)
         if sweep is None:
             cfg.pop("sweep")
-        assert load_run_config(cfg).studies == {}
+        assert load_run_config(cfg).sweeps == {}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         # cgbound sweep falls back on the default studies
         assert main(["sweep", "--config", str(path), "--axis", "ns"]) == 0
         out = capsys.readouterr().out
         config, model, spec, loss = report_mod.scaling_study_specs({})["ns"]
-        assert out == report_mod.sweep_csv(config, model, loss, spec)
+        assert out == report_mod.sweep_csv(report_mod.sweep_bound(config, model, loss, spec))
         assert out.splitlines()[0] == "axis,term2,term3,total" and len(out.splitlines()) == 6
         # the report writes no sweep files
         assert run_report(load_run_config(cfg), str(tmp_path / "out")) == 0

@@ -418,6 +418,39 @@ MUTANTS = [
         ["tests/test_datagen.py::TestGenerate::test_overflowing_noise_names_sigma",
          "tests/test_serialize_cli.py::TestCli::test_overflowing_noise_is_one_error_line"],
     ),
+    # scaling studies built from their sweep specs, strict JSON payloads
+    Mutant(
+        "scaling_stage_sweeps_default_specs", "report.py",
+        "    for axis, spec in run_config.sweeps.items():\n",
+        "    for axis, spec in (run_config.sweeps and sweep_specs({})).items():\n",
+        ["tests/test_serialize_cli.py::TestReport::test_payloads_match_the_recorded_report"],
+    ),
+    Mutant(
+        "kj_study_model_scale_changed", "bounds.py",
+        "model = MeasurementModel(2.0 * np.ones((2, 4)))",
+        "model = MeasurementModel(3.0 * np.ones((2, 4)))",
+        ["tests/test_serialize_cli.py::TestCli::test_payload_matches_the_recorded_output",
+         "tests/test_serialize_cli.py::TestReport::test_payloads_match_the_recorded_report"],
+    ),
+    Mutant(
+        "bound_payload_keeps_non_finite_constants", "bounds.py",
+        "{name: v if math.isfinite(v) else None for name, v in zip(names, constants)}",
+        "dict(zip(names, constants))",
+        ["tests/test_serialize_cli.py::TestCli::test_overflowing_constants_are_written_as_null",
+         "tests/test_bounds.py::TestNonFiniteBound::test_log_of_a_zero_constant_is_written_as_null"],
+    ),
+    Mutant(
+        "dumps_canonical_allows_nan", "serialize.py",
+        "json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)",
+        "json.dumps(obj, sort_keys=True, indent=2)",
+        ["tests/test_bounds.py::TestNonFiniteBound::test_log_of_a_zero_constant_is_written_as_null"],
+    ),
+    Mutant(
+        "verify_payload_keeps_infinite_tightness", "verify.py",
+        "None if isinstance(v, float) and not math.isfinite(v) else v for k, v in out.items()}",
+        "v for k, v in out.items()}",
+        ["tests/test_serialize_cli.py::TestCli::test_infinite_tightness_is_written_as_null"],
+    ),
 ]
 
 
