@@ -18,14 +18,10 @@ from .bounds import (
 from .datagen import CgDataSpec, CgDataset, GapReport, empirical_gap, generate_cg_dataset, mae_loss
 from .lipschitz import (
     AggregateConstants,
-    StepConstants,
-    cgnet_step_constants,
     datafit_grad_constants,
-    drcgnet_step_constants,
     fc_lipschitz,
     network_constants,
     network_constants_exact,
-    step_constants,
     tikhonov_constants,
 )
 from .model import (

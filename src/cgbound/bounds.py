@@ -11,6 +11,7 @@ network size, and sample count.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -151,6 +152,8 @@ class SweepSpec:
             raise ValueError(f"sweep values must be integers, got {self.values}")
         if vals[0] <= 0 or vals[-1] / vals[0] < 10.0:
             raise ValueError("sweep must span at least one decade of positive values")
+        if self.axis == "n" and vals[0] < 2:  # its fit divides by sqrt(ln n)
+            raise ValueError(f"the n axis starts at 2, got {self.values}")
 
 
 def dim_cov(structure, n):
@@ -241,11 +244,17 @@ def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
     kjd1 = config.K * config.J * config.D + 1
     dim_p = dim_cov(config.cov_structure, config.n)
 
-    term2_cov = float(_covering_term(dim_p, math.log(4.0 * config.p_max * kjd1 / c_max) + cns.log_kappa))
-
     dims = config.parameter_dims()
+    radii = (config.p_max, *(w for _, w in dims))
+    ratios = [4.0 * w * kjd1 / c_max for w in radii]
+    for w, ratio in zip(radii, ratios):
+        if not sys.float_info.min <= ratio < math.inf:
+            raise ValueError(f"the covering ratio 4 * (KJD + 1) * radius / c_max is {ratio!r}, "
+                             f"outside the normal float64 range, at radius = {w!r} and c_max = {c_max!r}")
+    term2_cov = float(_covering_term(dim_p, math.log(ratios[0]) + cns.log_kappa))
+
     alphas, omegas = np.array(dims, dtype=np.float64).T
-    log_coeffs = np.log([4.0 * w * kjd1 / c_max for _, w in dims])
+    log_coeffs = np.log(ratios[1:])
     terms = _covering_term(alphas, log_coeffs + cns.log_kappa_kdj)  # (K, J, D)
     block_sums = np.add.reduce(terms, axis=(0, 1))  # per d
 

@@ -24,11 +24,7 @@ from .backend import kernels
 __all__ = [
     "H_MAX",
     "TAU_H",
-    "StepConstants",
     "AggregateConstants",
-    "step_constants",
-    "cgnet_step_constants",
-    "drcgnet_step_constants",
     "tikhonov_constants",
     "network_constants",
     "network_constants_exact",
@@ -80,23 +76,6 @@ def _logaddexp(x, y):
     return d
 
 
-@dataclass(frozen=True)
-class StepConstants:
-    """Contraction constants of one scale update.
-
-    ``r1`` multiplies the scale perturbation, ``r2`` the Gaussian-estimate
-    perturbation, and ``r3[d-1]`` the perturbation of parameter block d.
-    """
-
-    r1: float
-    r2: float
-    r3: tuple
-
-    def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0 or any(r < 0 for r in self.r3):
-            raise ValueError("step constants must be nonnegative")
-
-
 def _linear(log_name):
     """The linear value of a stored log, computed on first read and cached."""
 
@@ -138,40 +117,6 @@ class AggregateConstants:
     c_hat2 = _linear("log_chat2")
     kappa = _linear("log_kappa")
     kappa_kdj = _linear("log_kappa_kdj")
-
-
-def cgnet_step_constants(z_inf, xi, p_max, mu_bound, y_max, model):
-    """Contraction constants of the projected steepest-descent scale update."""
-    if y_max < 0:
-        raise ValueError("y_max must be nonnegative")
-    Lz, Lu = datafit_grad_constants(z_inf, p_max, y_max, model)
-    r1 = 1.0 + p_max * (Lz + mu_bound * TAU_H)
-    return StepConstants(r1=r1, r2=p_max * Lu, r3=(xi, p_max * H_MAX))
-
-
-def drcgnet_step_constants(n, z_inf, xi, p_max, delta, weight_bounds, y_max, model):
-    """Contraction constants of the learned-correction scale update."""
-    if y_max < 0:
-        raise ValueError("y_max must be nonnegative")
-    Lz, Lu = datafit_grad_constants(z_inf, p_max, y_max, model)
-    # the correction subnetwork's input is a scale, of 2-norm <= sqrt(n) z_inf
-    wprod, weight_coeffs = fc_lipschitz(weight_bounds, 1.0, math.sqrt(n) * z_inf)
-    r1 = 1.0 + delta * Lz + wprod
-    return StepConstants(r1=r1, r2=delta * Lu, r3=(*weight_coeffs, xi))
-
-
-def step_constants(config, model, y_max):
-    """Per-step contraction constants for the configured variant.
-
-    All parameter blocks range over their admissible balls and measurements
-    over the radius-``y_max`` ball, so these are worst-case constants.
-    """
-    b = config.bounds
-    if config.variant == "cgnet":
-        return cgnet_step_constants(b.z_inf, b.xi, config.p_max, config.mu_bound, y_max, model)
-    return drcgnet_step_constants(
-        config.n, b.z_inf, b.xi, config.p_max, config.delta, config.weight_bounds, y_max, model
-    )
 
 
 def tikhonov_constants(y_norm2, z_inf, p_max, p_max_tilde, cond, model):
@@ -220,7 +165,7 @@ def fc_lipschitz(weight_norms, tau, x_norm):
     return input_coeff, weight_coeffs
 
 
-def _assemble(config, c1, c2, rc, kappa_prefactor):
+def _assemble(config, c1, c2, r1, r2, r3, kappa_prefactor):
     """Log-domain assembly of the layer-chained constants.
 
     Only the logs are computed; the linear values are derived when read.
@@ -229,15 +174,15 @@ def _assemble(config, c1, c2, rc, kappa_prefactor):
     r3[d] * r1^(J-j)``.
     """
     K, J, D = config.K, config.J, config.D
-    log_r1 = _safe_log(rc.r1)
-    log_r2 = _safe_log(rc.r2)
+    log_r1 = _safe_log(r1)
+    log_r2 = _safe_log(r2)
     log_c1 = _safe_log(c1)
     log_c2 = _safe_log(c2)
     # (J - j) * log r1 for j = 1..J
     log_r1_pows = np.arange(J - 1, -1, -1, dtype=np.float64) * log_r1
     log_rhat1 = J * log_r1
     log_rhat2 = log_r2 + _logsumexp(log_r1_pows)
-    log_r3 = np.array([_safe_log(r) for r in rc.r3])
+    log_r3 = np.array([_safe_log(r) for r in r3])
     log_rhat3 = log_r1_pows[:, None] + log_r3  # (J, D)
 
     # per-layer growth factor r_hat1 + r_hat2 * c1, chained over layers above k:
@@ -267,14 +212,20 @@ def _assemble(config, c1, c2, rc, kappa_prefactor):
 def _chain(config, model, y_norm, exact=None):
     """``_assemble`` of the Tikhonov, step and prefactor constants.
 
-    Worst case over the covariance ball and the radius-``y_norm`` measurement
-    ball, or, with ``exact = (P, P_tilde, y_inf)``, for that pair and a
-    measurement of 2-norm ``y_norm`` and max-norm ``y_inf``. A constant that
-    overflows or is not finite raises a ValueError naming ``y_norm`` and the
-    model's norms, so it never reaches the logs as ``inf`` and the bound as
-    NaN.
+    The step constants ``(r1, r2, r3)`` of one scale update multiply the
+    movement of the scale, of the Gaussian estimate and of each parameter
+    block (``r3[d-1]`` for block d) over the parameter balls and the
+    radius-``y_norm`` measurement ball. The rest is the worst case over the
+    covariance ball and that ball, or, with ``exact = (P, P_tilde, y_inf)``,
+    for that pair and a measurement of 2-norm ``y_norm`` and max-norm
+    ``y_inf``. A constant that overflows or is not finite raises a
+    ValueError naming ``y_norm`` and the model's norms, so it never reaches
+    the logs as ``inf`` and the bound as NaN.
     """
-    z_inf = config.bounds.z_inf
+    if y_norm < 0:
+        raise ValueError("y_max must be nonnegative")
+    b = config.bounds
+    z_inf = b.z_inf
     try:
         if exact is None:
             p_max = p_max_tilde = config.p_max
@@ -285,9 +236,17 @@ def _chain(config, model, y_norm, exact=None):
             p_max, p_max_tilde, cond = P.p_max, P_tilde.p_max, P.cond * P_tilde.cond
             pref_y = p_max * model.norm_inf * y_inf
         c1, c2 = tikhonov_constants(y_norm, z_inf, p_max, p_max_tilde, cond, model)
-        rc = step_constants(config, model, y_norm)
+        Lz, Lu = datafit_grad_constants(z_inf, config.p_max, y_norm, model)
+        if config.variant == "cgnet":  # projected steepest descent
+            r1 = 1.0 + config.p_max * (Lz + config.mu_bound * TAU_H)
+            r2, r3 = config.p_max * Lu, (b.xi, config.p_max * H_MAX)
+        else:  # learned correction
+            # the correction subnetwork's input is a scale, of 2-norm <= sqrt(n) z_inf
+            wprod, weight_coeffs = fc_lipschitz(config.weight_bounds, 1.0, math.sqrt(config.n) * z_inf)
+            r1 = 1.0 + config.delta * Lz + wprod
+            r2, r3 = config.delta * Lu, (*weight_coeffs, b.xi)
         pref = z_inf * (c1 + pref_y)
-        finite = all(map(math.isfinite, (c1, c2, rc.r1, rc.r2, *rc.r3, pref)))
+        finite = all(map(math.isfinite, (c1, c2, r1, r2, *r3, pref)))
     except OverflowError:  # a float ``**`` out of range
         finite = False
     if not finite:
@@ -296,7 +255,7 @@ def _chain(config, model, y_norm, exact=None):
             f"||A||_2 = {model.norm2!r}, ||A||_inf = {model.norm_inf!r}, "
             f"p_min = {config.p_min!r} and p_max = {config.p_max!r}"
         )
-    return _assemble(config, c1, c2, rc, pref)
+    return _assemble(config, c1, c2, r1, r2, r3, pref)
 
 
 def network_constants(config, model, y_max):

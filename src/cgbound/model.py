@@ -84,7 +84,8 @@ class MeasurementModel:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         # the max absolute row sum is finite iff every entry is (barring
         # overflow) and zero iff A is zero, so it screens A before the SVD
-        norm_inf = operator_inf_norm(A)
+        with np.errstate(over="ignore"):  # an overflowing row sum is named below
+            norm_inf = operator_inf_norm(A)
         if not math.isfinite(norm_inf):
             raise ValueError(f"A must have finite entries and row sums, got norm_inf={norm_inf}")
         if norm_inf == 0.0:

@@ -14,7 +14,8 @@ paper's corollary expressions for the two variants' bounds are stated
 here too, and so is a reference assembly of the bound's log-domain
 constants, entropy sums and sample complexity that does every scalar
 step through numpy (``np.logaddexp`` on scalars, ``ndarray.max``/``sum``)
-from the package's own Tikhonov and step constants.
+from the package's own Tikhonov and data-fit constants and the two
+variants' step constants, restated here.
 """
 
 import math
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from cgbound.bounds import dim_cov
-from cgbound.lipschitz import step_constants, tikhonov_constants
+from cgbound.lipschitz import H_MAX, TAU_H, datafit_grad_constants, fc_lipschitz, tikhonov_constants
 
 
 def greedy_cover_count(points, eps, norm=None):
@@ -233,15 +234,28 @@ def _log_factor_ref(log_coeff, log_kappa):
     return 1.0 + np.logaddexp(0.0, log_coeff + log_kappa)
 
 
-def assemble_oracle(config, c1, c2, rc, kappa_prefactor):
+def step_constants_oracle(config, model, y_max):
+    """``(r1, r2, r3)`` of one scale update of the configured variant."""
+    b = config.bounds
+    Lz, Lu = datafit_grad_constants(b.z_inf, config.p_max, y_max, model)
+    if config.variant == "cgnet":
+        r1 = 1.0 + config.p_max * (Lz + config.mu_bound * TAU_H)
+        return r1, config.p_max * Lu, (b.xi, config.p_max * H_MAX)
+    x_norm = math.sqrt(config.n) * b.z_inf  # 2-norm bound of a scale
+    wprod, weight_coeffs = fc_lipschitz(config.weight_bounds, 1.0, x_norm)
+    return 1.0 + config.delta * Lz + wprod, config.delta * Lu, (*weight_coeffs, b.xi)
+
+
+def assemble_oracle(config, c1, c2, step, kappa_prefactor):
     """The chained log constants of ``lipschitz._assemble``, as a dict."""
     K, J = config.K, config.J
-    log_r1 = _safe_log(rc.r1)
-    log_r2 = _safe_log(rc.r2)
+    r1, r2, r3 = step
+    log_r1 = _safe_log(r1)
+    log_r2 = _safe_log(r2)
     exps = np.arange(J - 1, -1, -1, dtype=np.float64)
     log_rhat1 = J * log_r1
     log_rhat2 = log_r2 + _logsumexp_ref(exps * log_r1)
-    log_r3 = np.array([_safe_log(r) for r in rc.r3])
+    log_r3 = np.array([_safe_log(r) for r in r3])
     log_rhat3 = exps[:, None] * log_r1 + log_r3[None, :]
     log_q = np.logaddexp(log_rhat1, log_rhat2 + _safe_log(c1))
     tail = np.arange(K - 1, -1, -1, dtype=np.float64)
@@ -260,8 +274,8 @@ def network_constants_oracle(config, model, y_max):
     """Worst-case constants over the parameter balls and the y_max ball."""
     b, p_max = config.bounds, config.p_max
     c1, c2 = tikhonov_constants(y_max, b.z_inf, p_max, p_max, (p_max / config.p_min) ** 2, model)
-    rc = step_constants(config, model, y_max)
-    return assemble_oracle(config, c1, c2, rc, b.z_inf * (c1 + p_max * y_max * model.norm_inf))
+    step = step_constants_oracle(config, model, y_max)
+    return assemble_oracle(config, c1, c2, step, b.z_inf * (c1 + p_max * y_max * model.norm_inf))
 
 
 def network_constants_exact_oracle(config, model, y, P, P_tilde):
@@ -270,8 +284,8 @@ def network_constants_exact_oracle(config, model, y, P, P_tilde):
     y2 = float(np.linalg.norm(y))
     y_inf = float(np.abs(y).max())
     c1, c2 = tikhonov_constants(y2, b.z_inf, P.p_max, P_tilde.p_max, P.cond * P_tilde.cond, model)
-    rc = step_constants(config, model, y2)
-    return assemble_oracle(config, c1, c2, rc, b.z_inf * (c1 + P.p_max * model.norm_inf * y_inf))
+    step = step_constants_oracle(config, model, y2)
+    return assemble_oracle(config, c1, c2, step, b.z_inf * (c1 + P.p_max * model.norm_inf * y_inf))
 
 
 def _entropy_ref(config, model, y_max):

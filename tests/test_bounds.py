@@ -441,6 +441,12 @@ class TestScaling:
             with pytest.raises(ValueError, match=name):
                 SweepSpec(axis="ns", values=(10, 100, 1000, 10000), **{name: value})
 
+    def test_n_axis_starts_at_two(self):
+        # the n-axis fit divides by sqrt(ln n), which is 0 at n = 1
+        with pytest.raises(ValueError, match="the n axis starts at 2"):
+            SweepSpec(axis="n", values=(1, 2, 4, 8, 16))
+        assert SweepSpec(axis="kj", values=(1, 4, 16, 64)).values == (1, 4, 16, 64)
+
     @pytest.mark.parametrize("variant", ["default", "cgnet"])
     def test_ns_rows_equal_geb_bound(self, variant):
         cfg, mdl, spec, loss = scaling_study_specs({})["ns"]
@@ -646,6 +652,41 @@ class TestReferenceAssembly:
             gap = (rep.term2 + rep.term3) * float(rng.uniform(0.5, 2.0))
             assert (sample_complexity(config, model, loss, gap, 0.05, y_max)
                     == sample_complexity_oracle(config, model, loss, gap, 0.05, y_max))
+
+
+def underflowing_ratio_config(case):
+    """A config one of whose covering ratios ``4 (KJD + 1) radius / c_max``
+    underflows to 0: a tiny weight radius under a huge ``c_max``, or a tiny
+    covariance radius under a huger ``c_max``."""
+    cfg = default_config()
+    bounds_section = {"c_max": 1.0, "z_inf": E3, "xi": 1.0, "a": 1.0, "b": E3}
+    if case == "weight_radius":
+        cfg["model"] = {"m": 2, "n": 4, "matrix": {"generator": "ones"}}
+        cfg["network"].update(K=4, J=4, Lc=1, weight_bounds=[1e-300])
+        bounds_section.update(c_max=1e30, z_inf=20.0, b=20.0)
+        cfg["geb"]["ymax_mode"] = "noiseless"
+        del cfg["dataset"]
+    else:  # covariance radius
+        cfg["network"].update(p_min=1e-30, p_max=1e-30)
+        bounds_section["c_max"] = 1e300
+    cfg["bounds"] = bounds_section
+    return cfg
+
+
+class TestUnderflowingCoveringRatio:
+    # the weight radius gave a bound of 8.77e31 with a divide-by-zero warning,
+    # the covariance radius a bare "math domain error"
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["weight_radius", "covariance_radius"])
+    def test_geb_bound_names_the_radius_and_c_max(self, case):
+        run = load_run_config(underflowing_ratio_config(case))
+        radius, c_max = {"weight_radius": ("1e-300", "1e+30"),
+                         "covariance_radius": ("1e-30", "1e+300")}[case]
+        want = ("the covering ratio 4 * (KJD + 1) * radius / c_max is 0.0, outside the normal "
+                f"float64 range, at radius = {radius} and c_max = {c_max}")
+        with pytest.raises(ValueError) as err:
+            geb_bound(run.network, run.model, run.loss, 1000, 0.05, 1.0)
+        assert str(err.value) == want
 
 
 class TestOverflowingInputs:

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +11,13 @@ import pytest
 from cgbound.lipschitz import (
     H_MAX,
     TAU_H,
-    StepConstants,
     _assemble,
     _logaddexp,
     _logsumexp,
-    cgnet_step_constants,
     datafit_grad_constants,
-    drcgnet_step_constants,
     fc_lipschitz,
     network_constants,
     network_constants_exact,
-    step_constants,
     tikhonov_constants,
 )
 from cgbound.model import MeasurementModel, SignalBounds
@@ -48,74 +45,77 @@ class TestRegularizerExtrema:
         assert grid_max == pytest.approx(TAU_H, abs=1e-6)
 
 
+def _step(config, model, y_max):
+    """``(r1, r2, r3)`` read from the chain at K = J = 1, where ``r_hat1 = r1``,
+    ``r_hat2 = r2`` and ``r_hat3[0] = r3``."""
+    cns = network_constants(replace(config, K=1, J=1), model, y_max)
+    return cns.r_hat1, cns.r_hat2, tuple(cns.r_hat3[0].tolist())
+
+
+def _cg_step_config(p_max=2.0, mu_bound=1.0, xi=1.0):
+    bounds = SignalBounds(c_max=1.0, z_inf=E3, xi=xi, a=1.0, b=E3)
+    return NetworkConfig(variant="cgnet", n=1, K=1, J=1, bounds=bounds,
+                         p_min=0.5, p_max=p_max, mu_bound=mu_bound)
+
+
+def _dr_step_config(n, z_inf, xi, delta, weight_bounds):
+    Lc = len(weight_bounds)
+    bounds = SignalBounds(c_max=1.0, z_inf=z_inf, xi=xi, a=1.0, b=E3)
+    return NetworkConfig(variant="drcgnet", n=n, K=1, J=1, bounds=bounds, p_min=0.5,
+                         p_max=2.0, Lc=Lc, filters=(1,) * (Lc + 1), kernels=(1,) * Lc,
+                         weight_bounds=weight_bounds, delta=delta)
+
+
 class TestStepConstants:
+    # the parameter balls have positive radii, so a radius of 1e-300 stands
+    # in for 0: its products vanish next to the 1 of r1
+
     def test_drcgnet_formula_zeroes(self):
-        rc = drcgnet_step_constants(
-            n=4, z_inf=E3, xi=1.0, p_max=2.0, delta=0.0,
-            weight_bounds=(0.0,), y_max=1.0, model=UNIT_MODEL,
-        )
-        assert rc.r1 == 1.0 and rc.r2 == 0.0
+        cfg = _dr_step_config(n=4, z_inf=E3, xi=1.0, delta=1e-300, weight_bounds=(1e-300,))
+        r1, r2, _ = _step(cfg, UNIT_MODEL, 0.0)
+        assert r1 == 1.0 and r2 == 0.0
 
     def test_cgnet_zero_measurement_and_mu(self):
-        rc = cgnet_step_constants(
-            z_inf=E3, xi=1.0, p_max=2.0, mu_bound=0.0, y_max=0.0, model=UNIT_MODEL,
-        )
-        assert rc.r1 == 1.0 and rc.r2 == 0.0
+        r1, r2, _ = _step(_cg_step_config(mu_bound=1e-300), UNIT_MODEL, 0.0)
+        assert r1 == 1.0 and r2 == 0.0
 
     def test_cgnet_frozen_value(self):
         # 1 + 10*((e^3 * 10)^2 + 1), evaluated at 40 digits: 403439.7934927351226
-        rc = cgnet_step_constants(
-            z_inf=E3, xi=1.0, p_max=10.0, mu_bound=1.0, y_max=1.0, model=UNIT_MODEL,
-        )
-        assert rc.r1 == pytest.approx(403439.7934927351226, rel=1e-14)
+        r1, _, _ = _step(_cg_step_config(p_max=10.0), UNIT_MODEL, 1.0)
+        assert r1 == pytest.approx(403439.7934927351226, rel=1e-14)
 
     def test_block_coefficients(self):
-        rc = cgnet_step_constants(
-            z_inf=E3, xi=1.5, p_max=2.0, mu_bound=1.0, y_max=1.0, model=UNIT_MODEL,
-        )
-        assert rc.r3 == (1.5, 2.0 * H_MAX)
-        rc = drcgnet_step_constants(
-            n=9, z_inf=2.0, xi=1.5, p_max=2.0, delta=0.5,
-            weight_bounds=(0.5, 4.0), y_max=1.0, model=UNIT_MODEL,
-        )
+        _, _, r3 = _step(_cg_step_config(xi=1.5), UNIT_MODEL, 1.0)
+        assert r3 == pytest.approx((1.5, 2.0 * H_MAX), rel=1e-15)
+        cfg = _dr_step_config(n=9, z_inf=2.0, xi=1.5, delta=0.5, weight_bounds=(0.5, 4.0))
+        _, _, r3 = _step(cfg, UNIT_MODEL, 1.0)
         # matrix blocks: sqrt(n) * z_inf * product of the other radii
-        assert rc.r3 == (3.0 * 2.0 * 4.0, 3.0 * 2.0 * 0.5, 1.5)
-
-    def test_dispatch_matches_scalar_forms(self):
-        model = MeasurementModel(np.array([[0.5, 1.0], [0.0, 0.25]]))
-        bounds = SignalBounds.default()
-        cfg = NetworkConfig(variant="cgnet", n=2, K=1, J=1, bounds=bounds,
-                            p_min=0.5, p_max=2.0, mu_bound=0.3)
-        via_config = step_constants(cfg, model, 1.7)
-        direct = cgnet_step_constants(bounds.z_inf, bounds.xi, 2.0, 0.3, 1.7, model)
-        assert via_config == direct
+        assert r3 == pytest.approx((3.0 * 2.0 * 4.0, 3.0 * 2.0 * 0.5, 1.5), rel=1e-15)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            StepConstants(r1=-1.0, r2=0.0, r3=())
-        with pytest.raises(ValueError):
-            cgnet_step_constants(E3, 1.0, 2.0, 1.0, -1.0, UNIT_MODEL)
+        for cfg in (_cg_step_config(), _dr_step_config(4, E3, 1.0, 0.5, (1.0,))):
+            with pytest.raises(ValueError, match="y_max must be nonnegative"):
+                network_constants(cfg, UNIT_MODEL, -1.0)
 
 
-def _compose(rc, J):
+def _compose(r1, r2, r3, J):
     """The J-fold composition as the bound assembles it: one layer (K = 1)."""
-    return _assemble(_cg_config(K=1, J=J), 1.0, 1.0, rc, 1.0)
+    return _assemble(_cg_config(K=1, J=J), 1.0, 1.0, r1, r2, r3, 1.0)
 
 
 class TestLayerComposition:
     def test_single_step_identity(self):
-        rc = StepConstants(r1=3.0, r2=2.0, r3=(0.5, 0.25))
-        agg = _compose(rc, 1)
+        agg = _compose(3.0, 2.0, (0.5, 0.25), 1)
         assert agg.r_hat1 == pytest.approx(3.0, rel=1e-15)
         assert agg.r_hat2 == pytest.approx(2.0, rel=1e-15)
         np.testing.assert_allclose(agg.r_hat3, [[0.5, 0.25]], rtol=1e-15)
 
     def test_unit_contraction_degenerate_sum(self):
-        agg = _compose(StepConstants(r1=1.0, r2=0.3, r3=(1.0, 1.0)), 5)
+        agg = _compose(1.0, 0.3, (1.0, 1.0), 5)
         assert agg.r_hat2 == pytest.approx(5 * 0.3)
 
     def test_geometric_sum_value(self):
-        agg = _compose(StepConstants(r1=2.0, r2=1.0, r3=(1.0, 1.0)), 3)
+        agg = _compose(2.0, 1.0, (1.0, 1.0), 3)
         assert agg.r_hat2 == pytest.approx(7.0)  # 4 + 2 + 1
         assert agg.r_hat1 == pytest.approx(8.0)
         np.testing.assert_allclose(agg.r_hat3[:, 0], [4.0, 2.0, 1.0])
@@ -123,7 +123,7 @@ class TestLayerComposition:
     def test_continuity_at_unit_contraction(self):
         # explicit sum agrees with the quotient form on both sides of r1 = 1
         for r1 in (1.0 - 1e-8, 1.0 + 1e-8):
-            agg = _compose(StepConstants(r1=r1, r2=1.3, r3=(1.0, 1.0)), 6)
+            agg = _compose(r1, 1.3, (1.0, 1.0), 6)
             quotient = 1.3 * (1.0 - r1**6) / (1.0 - r1)
             assert agg.r_hat2 == pytest.approx(quotient, rel=1e-6)
             assert agg.r_hat2 == pytest.approx(1.3 * 6, rel=1e-6)
@@ -219,13 +219,13 @@ class TestNetworkConstants:
         model = MeasurementModel(np.array([[0.7, 0.2, -0.1]]))
         cfg = _cg_config(K=2, J=1)
         cns = network_constants(cfg, model, 0.9)
-        rc = step_constants(cfg, model, 0.9)
+        r1, r2, r3 = _step(cfg, model, 0.9)
         c1, c2 = _worst_tikhonov(0.9, E3, 2.0, 0.5, model)
-        expected = c2 * (rc.r2 * (rc.r1 + rc.r2 * c1) + rc.r2)
+        expected = c2 * (r2 * (r1 + r2 * c1) + r2)
         assert cns.c_hat1 == pytest.approx(expected, rel=1e-10)
         pref = E3 * (c1 + 2.0 * 0.9 * model.norm_inf)
         assert cns.kappa == pytest.approx(pref * cns.c_hat1 + E3 * c2, rel=1e-10)
-        assert cns.kappa_kdj[1, 0, 0] == pytest.approx(pref * rc.r3[0], rel=1e-10)
+        assert cns.kappa_kdj[1, 0, 0] == pytest.approx(pref * r3[0], rel=1e-10)
 
     def test_zero_radius_collapses_everything(self):
         model = MeasurementModel(np.array([[1.0, 0.0], [0.0, 1.0]]))

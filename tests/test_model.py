@@ -123,6 +123,11 @@ class TestMeasurementModel:
         with pytest.raises(ValueError, match="A must have finite entries"):
             MeasurementModel(A)
 
+    def test_overflowing_row_sum_is_named_without_a_warning(self):
+        # finite entries whose absolute row sum overflows float64
+        with pytest.raises(ValueError, match="A must have finite entries and row sums"):
+            MeasurementModel(np.array([[1e308, 1e308]]))
+
     def test_rejects_all_zero_matrix(self):
         # a zero operator has no back-projection scale (norm2 == 0)
         with pytest.raises(ValueError, match="A must not be all zero"):

@@ -28,6 +28,8 @@ from cgbound.serialize import (
 )
 from cgbound.verify import TARGETS
 
+from test_bounds import underflowing_ratio_config
+
 SEED_SER = 0x5EED_0007
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -297,10 +299,11 @@ class TestRunConfig:
         ("sweep.Ns", True),
         ("sweep.n_values", [4, 8, 16, 32, 64.5]),
         ("sweep.kj_values", [4, 16, 64, 256, 1024, 4096.7]),
+        ("sweep.n_values", [1, 2, 4, 8, 16]),
     ], ids=["gap_Ns", "gap_test_draws", "gap_suite_size", "two_ns_values", "null_seed",
             "sweep_Ns", "sweep_Ns_fraction", "sweep_Ns_text", "sweep_eps_conf",
             "sweep_eps_conf_text", "geb_Ns_bool", "verify_trials_bool", "sweep_Ns_bool",
-            "n_values_fraction", "kj_values_fraction"])
+            "n_values_fraction", "kj_values_fraction", "n_values_from_one"])
     def test_report_rejects_before_any_suite(self, tmp_path, capsys, field, value):
         cfg = _small_config()
         *section, key = field.split(".")
@@ -411,6 +414,22 @@ class TestCli:
         proc = _run_from_source(["-m", "cgbound", "bound", "--config", str(path)], tmp_path)
         assert proc.returncode == 1
         assert proc.stderr == "error: model.sigma = 1e+308 makes the noisy measurements overflow\n"
+
+    @pytest.mark.parametrize("case", ["weight_radius", "covariance_radius"])
+    def test_underflowing_covering_ratio_is_one_error_line(self, tmp_path, case):
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(underflowing_ratio_config(case)))
+        proc = _run_from_source(["-m", "cgbound", "bound", "--config", str(path)], tmp_path)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: the covering ratio .* and c_max = [^\n]*\n", proc.stderr)
+
+    def test_sweep_n_axis_from_one_is_a_config_error(self, tmp_path, capsys):
+        cfg = default_config()
+        cfg["sweep"]["n_values"] = [1, 2, 4, 8, 16]
+        path = tmp_path / "n_from_one.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--axis", "n"]) == 1
+        assert "configuration error: sweep.n_values: the n axis starts at 2" in capsys.readouterr().err
 
     def test_overflowing_constants_are_written_as_null(self, tmp_path, capsys):
         # at K = J = 8 the linear constants overflow float64 and their logs do not

@@ -78,8 +78,8 @@ MUTANTS = [
     ),
     Mutant(
         "cov_factor_four_as_two", "bounds.py",
-        "math.log(4.0 * config.p_max * kjd1 / c_max)",
-        "math.log(2.0 * config.p_max * kjd1 / c_max)",
+        "math.log(ratios[0])",
+        "math.log(0.5 * ratios[0])",
         ["tests/test_bounds.py::TestGebBound::test_frozen_instance",
          "tests/test_bounds.py::TestReferenceAssembly::test_geb_bound_and_sample_complexity"],
     ),
@@ -199,7 +199,7 @@ MUTANTS = [
     ),
     Mutant(
         "chain_finite_check_disabled", "lipschitz.py",
-        "finite = all(map(math.isfinite, (c1, c2, rc.r1, rc.r2, *rc.r3, pref)))",
+        "finite = all(map(math.isfinite, (c1, c2, r1, r2, *r3, pref)))",
         "finite = True",
         ["tests/test_lipschitz.py::TestOverflowingConstants::test_raise_a_named_value_error",
          "tests/test_bounds.py::TestOverflowingInputs"],
@@ -450,6 +450,50 @@ MUTANTS = [
         "None if isinstance(v, float) and not math.isfinite(v) else v for k, v in out.items()}",
         "v for k, v in out.items()}",
         ["tests/test_serialize_cli.py::TestCli::test_infinite_tightness_is_written_as_null"],
+    ),
+    # step constants stated in the chain, covering-ratio and sweep-axis screens
+    Mutant(
+        "cgnet_r1_mu_term_dropped", "lipschitz.py",
+        "r1 = 1.0 + config.p_max * (Lz + config.mu_bound * TAU_H)",
+        "r1 = 1.0 + config.p_max * Lz",
+        ["tests/test_lipschitz.py::TestStepConstants::test_cgnet_frozen_value",
+         "tests/test_bounds.py::TestReferenceAssembly::test_network_constants"],
+    ),
+    Mutant(
+        "drcgnet_fc_input_norm_without_sqrt_n", "lipschitz.py",
+        "fc_lipschitz(config.weight_bounds, 1.0, math.sqrt(config.n) * z_inf)",
+        "fc_lipschitz(config.weight_bounds, 1.0, z_inf)",
+        ["tests/test_lipschitz.py::TestStepConstants::test_block_coefficients",
+         "tests/test_bounds.py::TestReferenceAssembly::test_network_constants"],
+    ),
+    Mutant(
+        "cgnet_h_max_coefficient_halved", "lipschitz.py",
+        "(b.xi, config.p_max * H_MAX)",
+        "(b.xi, 0.5 * config.p_max * H_MAX)",
+        ["tests/test_lipschitz.py::TestStepConstants::test_block_coefficients"],
+    ),
+    Mutant(
+        "covering_ratio_screen_dropped", "bounds.py",
+        "        if not sys.float_info.min <= ratio < math.inf:\n",
+        "        if False:\n",
+        ["tests/test_bounds.py::TestUnderflowingCoveringRatio",
+         "tests/test_serialize_cli.py::TestCli::test_underflowing_covering_ratio_is_one_error_line"],
+    ),
+    Mutant(
+        "sweep_n_axis_from_one_allowed", "bounds.py",
+        'if self.axis == "n" and vals[0] < 2:',
+        "if False:",
+        ["tests/test_bounds.py::TestScaling::test_n_axis_starts_at_two",
+         "tests/test_serialize_cli.py::TestRunConfig::"
+         "test_report_rejects_before_any_suite[n_values_from_one]",
+         "tests/test_serialize_cli.py::TestCli::test_sweep_n_axis_from_one_is_a_config_error"],
+    ),
+    Mutant(
+        "measurement_row_sums_warn_on_overflow", "model.py",
+        'with np.errstate(over="ignore"):  # an overflowing row sum is named below',
+        'with np.errstate(over="warn"):  # an overflowing row sum is named below',
+        ["tests/test_model.py::TestMeasurementModel::"
+         "test_overflowing_row_sum_is_named_without_a_warning"],
     ),
 ]
 
