@@ -38,8 +38,6 @@ from .networks import (
     ForwardTrace,
     NetworkConfig,
     ParameterSet,
-    cgnet_scale_step,
-    drcgnet_scale_step,
     forward,
     parameter_distance,
     sample_covariance,

@@ -74,8 +74,10 @@ def _datafit_grad(A, u, z, y):
 def _clip_datafit(g, A, u, z, y, xi):
     """The step gradient ``g`` projected onto the xi-ball. Its data-fit part
     grows like ``|y|^2``; a row whose norm is not finite is recomputed from
-    ``(u, y)`` over their largest entry and put on the xi-sphere (a bounded
-    regularizer term is below rounding there). Other rows keep their bits."""
+    ``(u, y)`` over their largest entry, scaled by a power of two to its own
+    largest entry so its squared norm cannot underflow, and put on the
+    xi-sphere (a bounded regularizer term is below rounding there). Other
+    rows keep their bits."""
     nrm = _row_norm(g)
     out = g / np.maximum(1.0, nrm / xi)
     huge = ~np.isfinite(nrm[..., 0])
@@ -84,6 +86,7 @@ def _clip_datafit(g, A, u, z, y, xi):
         uh, zh, yh = (np.broadcast_to(x, lead + x.shape[-1:])[huge] for x in (u, z, y))
         s = np.maximum(np.abs(uh).max(axis=-1, keepdims=True), np.abs(yh).max(axis=-1, keepdims=True))
         gh = _datafit_grad(A, uh / s, zh, yh / s)
+        gh = np.ldexp(gh, -np.frexp(np.abs(gh).max(axis=-1, keepdims=True))[1])
         out[huge] = xi * gh / _row_norm(gh)
     return out
 

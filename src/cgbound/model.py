@@ -90,9 +90,12 @@ class MeasurementModel:
             raise ValueError(f"A must have finite entries and row sums, got norm_inf={norm_inf}")
         if norm_inf == 0.0:
             raise ValueError("A must not be all zero")
+        norm2 = spectral_norm(A)
+        if not math.isfinite(norm2):
+            raise ValueError(f"A's spectral norm overflows float64, got norm2={norm2}")
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "norm2", spectral_norm(A))
+        object.__setattr__(self, "norm2", norm2)
         object.__setattr__(self, "norm_inf", norm_inf)
 
     @property

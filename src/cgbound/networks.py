@@ -44,9 +44,7 @@ __all__ = [
     "NetworkConfig",
     "ParameterSet",
     "ForwardTrace",
-    "cgnet_scale_step",
     "subnet_forward",
-    "drcgnet_scale_step",
     "forward",
     "sample_parameters",
     "sample_covariance",
@@ -55,6 +53,7 @@ __all__ = [
 ]
 
 VARIANTS = ("cgnet", "drcgnet")
+BALL_TOL = 1e-9  # relative slack of validate_parameters' ball and spectrum checks
 
 
 @dataclass(frozen=True)
@@ -175,32 +174,6 @@ class ForwardTrace:
     output: np.ndarray
 
 
-def cgnet_scale_step(z, u, y, model, B, mu, bounds):
-    """One projected steepest-descent scale update.
-
-    Clips the gradient to the xi-ball, applies the learned matrix B, and
-    clamps the result to [a, b] componentwise. For a ``(T, n)`` stack, B
-    may be a ``(T, n, n)`` stack and mu a ``(T,)`` array, one per row. A
-    gradient that overflows is recomputed by the kernel, so numpy's
-    warnings about it are silenced, as in :func:`forward`.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _cgnet_scale_step(z, u, y, model, B, mu, bounds)
-
-
-def _cgnet_scale_step(z, u, y, model, B, mu, bounds):
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    B = np.ascontiguousarray(B, dtype=np.float64)
-    mu = _per_row(mu, z, "mu")
-    if np.any((mu != 0.0)[..., None] & (z <= 0.0)):
-        raise ValueError("cgnet scale step with mu != 0 requires strictly positive z")
-    return kernels["cgnet_step"](
-        z, u, y, model.A, B, mu, bounds.a, bounds.b, bounds.xi
-    )
-
-
 def subnet_forward(weights, z):
     """Dense feed-forward chain with ReLU between layers, linear last layer.
 
@@ -221,36 +194,6 @@ def subnet_forward(weights, z):
     return x
 
 
-def drcgnet_scale_step(z, u, y, model, delta, weights, bounds):
-    """One projected-gradient scale update with learned correction.
-
-    Data-fidelity descent ``z - delta * clip(A_u^T(A_u z - y))`` plus the
-    subnetwork output; the caller applies the [0, z_inf] clamp. For a
-    ``(T, n)`` stack, delta may be a ``(T,)`` array and each weight a
-    ``(T, r, c)`` stack, one per row. Overflow warnings are silenced as in
-    :func:`cgnet_scale_step`.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _drcgnet_scale_step(z, u, y, model, delta, weights, bounds)
-
-
-def _drcgnet_scale_step(z, u, y, model, delta, weights, bounds):
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    delta = _per_row(delta, z, "delta")
-    v = kernels["drcgnet_vstep"](z, u, y, model.A, delta, bounds.xi)
-    return v + subnet_forward(weights, z)
-
-
-def _per_row(c, z, name):
-    """A scalar step coefficient, or a ``(T,)`` array of them for ``(T, n)`` rows."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim and c.shape != z.shape[:-1]:
-        raise ValueError(f"{name} of shape {c.shape} does not match rows of shape {z.shape}")
-    return c
-
-
 def _initial_scale(y, model, config):
     """Normalized back-projection clamped into the admissible scale region."""
     z_init = (model.A.T @ y[..., None])[..., 0] / model.norm2
@@ -264,14 +207,20 @@ def _scale_floor(config):
 
 
 def _scale_update(z, u, y, model, theta_kj, config):
-    # the steps without the public ones' errstate: forward holds its own
+    """One scale update: the variant's step, clamped to [0, z_inf]. ``theta_kj``
+    holds its D blocks, each stacked per row for a stack of parameter sets.
+    A gradient that overflows is recomputed by the kernel; the caller
+    silences numpy's warnings about it."""
     b = config.bounds
     if config.variant == "cgnet":
         B, mu = theta_kj
-        out = _cgnet_scale_step(z, u, y, model, B, mu, b)
+        mu = np.asarray(mu, dtype=np.float64)
+        if np.any((mu != 0.0)[..., None] & (z <= 0.0)):
+            raise ValueError("cgnet scale step with mu != 0 requires strictly positive z")
+        out = kernels["cgnet_step"](z, u, y, model.A, B, mu, b.a, b.b, b.xi)
     else:
-        weights = theta_kj[: config.Lc]
-        out = _drcgnet_scale_step(z, u, y, model, theta_kj[config.Lc], weights, b)
+        v = kernels["drcgnet_vstep"](z, u, y, model.A, theta_kj[-1], b.xi)
+        out = v + subnet_forward(theta_kj[:-1], z)
     return mrelu(out, 0.0, b.z_inf)
 
 
@@ -433,9 +382,9 @@ def _block_norms(blocks):
     return np.stack([spectral_norm(b) if np.ndim(b) > 2 else np.abs(b) for b in blocks], axis=-1)
 
 
-def validate_parameters(theta, config, tol=1e-9):
+def validate_parameters(theta, config):
     """Check every block stack's shape and every block against its ball; raise on violation."""
-    if theta.P.p_max > config.p_max * (1 + tol) or theta.P.p_min < config.p_min * (1 - tol):
+    if theta.P.p_max > config.p_max * (1 + BALL_TOL) or theta.P.p_min < config.p_min * (1 - BALL_TOL):
         raise ValueError("covariance spectrum leaves [p_min, p_max]")
     shapes = config.block_shapes()
     if len(theta.blocks) != len(shapes):
@@ -445,7 +394,7 @@ def validate_parameters(theta, config, tol=1e-9):
             raise ValueError(f"block {d} stack has shape {np.shape(b)}, "
                              f"expected {(config.K, config.J) + shape}")
     radii = np.array([radius for _, radius in config.parameter_dims()])
-    outside = np.argwhere(~(_block_norms(theta.blocks) <= radii * (1 + tol)))  # NaN is outside
+    outside = np.argwhere(~(_block_norms(theta.blocks) <= radii * (1 + BALL_TOL)))  # NaN is outside
     if outside.size:
         k, j, d = outside[0] + 1
         raise ValueError(f"block {d} at layer {k} step {j} leaves its ball")

@@ -144,3 +144,12 @@ def test_row_norm_of_a_row_holding_inf_is_inf():
         out = row_norm(v)
     np.testing.assert_array_equal(out[1:], [[np.inf], [5.0]])
     np.testing.assert_allclose(out[0], [2**0.5 * 1e200], rtol=1e-15)
+
+
+def test_fallback_gradient_whose_square_underflows_is_clipped_to_xi():
+    # g = A u (A u z - y) overflows; its recompute over max(|u|, |y|) is about
+    # 1e-229, whose square underflows to 0. The clip must still give xi.
+    A, z, u, y = np.array([[8.79497427e-99]]), np.array([0.5]), np.array([1e140]), np.array([-3.3e268])
+    with np.errstate(over="ignore", invalid="ignore"):  # forward's errstate
+        out = kernels["drcgnet_vstep"](z, u, y, A, 1.0, 1e-3)
+    np.testing.assert_array_equal(out, [0.5 - 1e-3])

@@ -128,6 +128,11 @@ class TestMeasurementModel:
         with pytest.raises(ValueError, match="A must have finite entries and row sums"):
             MeasurementModel(np.array([[1e308, 1e308]]))
 
+    def test_overflowing_spectral_norm_is_named(self):
+        # finite row sums, but ||A||_2 = sqrt(2) * 1.5e308 overflows
+        with pytest.raises(ValueError, match="^A's spectral norm overflows float64, got norm2=inf$"):
+            MeasurementModel(np.array([[1.5e308], [1.5e308]]))
+
     def test_rejects_all_zero_matrix(self):
         # a zero operator has no back-projection scale (norm2 == 0)
         with pytest.raises(ValueError, match="A must not be all zero"):

@@ -22,8 +22,7 @@ from cgbound.model import (
 from cgbound.networks import (
     NetworkConfig,
     ParameterSet,
-    cgnet_scale_step,
-    drcgnet_scale_step,
+    _scale_update,
     forward,
     parameter_distance,
     sample_covariance,
@@ -101,7 +100,7 @@ class TestGradZ:
         z = np.ones((3, 2))
         z[2, 1] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            cgnet_scale_step(z, np.zeros((3, 2)), np.zeros((3, 2)), model, np.eye(2), 1.0, BOUNDS)
+            _scale_update(z, np.zeros((3, 2)), np.zeros((3, 2)), model, (np.eye(2), 1.0), _cg_config(n=2))
 
 
 class TestCgnetStep:
@@ -111,15 +110,15 @@ class TestCgnetStep:
         z = rng.uniform(0.5, 30, size=8)
         u = rng.standard_normal(8)
         y = rng.standard_normal(4)
-        out = cgnet_scale_step(z, u, y, model, np.zeros((8, 8)), 0.0, BOUNDS)
-        np.testing.assert_array_equal(out, mrelu(z, BOUNDS.a, BOUNDS.b))
+        out = _scale_update(z, u, y, model, (np.zeros((8, 8)), 0.0), _cg_config())
+        np.testing.assert_array_equal(out, mrelu(mrelu(z, BOUNDS.a, BOUNDS.b), 0.0, BOUNDS.z_inf))
 
     def test_unit_scale_zero_gaussian_fixed_point(self):
         rng = np.random.default_rng(SEED_NET)
         model = _model(rng)
         B = random_spd(rng, 8)
-        out = cgnet_scale_step(np.ones(8), np.zeros(8), rng.standard_normal(4),
-                               model, B, 0.8, BOUNDS)
+        out = _scale_update(np.ones(8), np.zeros(8), rng.standard_normal(4),
+                            model, (B, 0.8), _cg_config())
         np.testing.assert_allclose(out, np.ones(8), atol=1e-14)
 
     def test_composition_oracle(self):
@@ -130,11 +129,11 @@ class TestCgnetStep:
         y = rng.standard_normal(4)
         B = random_spd(rng, 8)
         mu = 0.4
-        out = cgnet_scale_step(z, u, y, model, B, mu, BOUNDS)
-        expected = mrelu(
+        out = _scale_update(z, u, y, model, (B, mu), _cg_config())
+        expected = mrelu(mrelu(
             z - B @ ball_project(grad_z_oracle(z, u, y, model.A, mu), BOUNDS.xi),
             BOUNDS.a, BOUNDS.b,
-        )
+        ), 0.0, BOUNDS.z_inf)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -176,17 +175,17 @@ class TestDrcgnetStep:
         rng = np.random.default_rng(SEED_NET)
         model = _model(rng)
         z = rng.uniform(0, 3, size=8)
-        out = drcgnet_scale_step(z, rng.standard_normal(8), rng.standard_normal(4),
-                                 model, 0.0, [np.zeros((8, 8))], BOUNDS)
-        np.testing.assert_array_equal(out, z)
+        out = _scale_update(z, rng.standard_normal(8), rng.standard_normal(4),
+                            model, (np.zeros((8, 8)), 0.0), _dr_config())
+        np.testing.assert_array_equal(out, mrelu(z, 0.0, BOUNDS.z_inf))
 
     def test_zero_gaussian_zero_weights(self):
         rng = np.random.default_rng(SEED_NET)
         model = _model(rng)
         z = rng.uniform(0, 3, size=8)
-        out = drcgnet_scale_step(z, np.zeros(8), rng.standard_normal(4),
-                                 model, 0.7, [np.zeros((8, 8))], BOUNDS)
-        np.testing.assert_allclose(out, z, atol=1e-14)
+        out = _scale_update(z, np.zeros(8), rng.standard_normal(4),
+                            model, (np.zeros((8, 8)), 0.7), _dr_config())
+        np.testing.assert_allclose(out, mrelu(z, 0.0, BOUNDS.z_inf), atol=1e-14)
 
     def test_composition_oracle(self):
         rng = np.random.default_rng(SEED_NET)
@@ -196,10 +195,10 @@ class TestDrcgnetStep:
         y = rng.standard_normal(4)
         W = rng.standard_normal((8, 8))
         delta = 0.3
-        out = drcgnet_scale_step(z, u, y, model, delta, [W], BOUNDS)
+        out = _scale_update(z, u, y, model, (W, delta), _dr_config())
         Au = model.A * u
         v = z - delta * ball_project(Au.T @ (Au @ z - y), BOUNDS.xi)
-        np.testing.assert_allclose(out, v + W @ z, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(out, mrelu(v + W @ z, 0.0, BOUNDS.z_inf), rtol=1e-12, atol=1e-14)
 
 
 class TestForward:
@@ -316,33 +315,27 @@ class TestForward:
             for got, want in zip(_trace_fields(trace), _trace_fields(forward(y, theta, config, model))):
                 np.testing.assert_array_equal(got[i], want)
 
+    def test_cgnet_rejects_a_zero_scale(self):
+        # with a = 0 the initial clamp leaves z = 0 where A^T y < 0, and the
+        # log term of a nonzero mu is undefined there
+        config = replace(_cg_config(n=4), bounds=replace(BOUNDS, a=0.0))
+        theta = sample_parameters(config, 1)
+        with pytest.raises(ValueError, match="requires strictly positive z"):
+            forward(np.array([1.0, -1.0, 2.0, -2.0]), theta, config, MeasurementModel(np.eye(4)))
+
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("variant", ["cgnet", "drcgnet"])
-    def test_public_steps_are_silent_at_huge_y(self, variant):
-        # the kernel recomputes a gradient that overflows; the public steps
-        # silence numpy's warnings about it as forward does, and give
-        # forward's first step bitwise
-        if variant == "cgnet":
-            config, model = _cg_config(), _model(np.random.default_rng(SEED_NET))
-        else:
-            cfg = load_run_config(default_config())
-            config, model = cfg.network, cfg.model
-        theta = sample_parameters(config, 3)
-        step = [b[0, 0] for b in theta.blocks]
-        bounds = config.bounds
-
-        def public_step(z, u, y):
-            if variant == "cgnet":
-                return cgnet_scale_step(z, u, y, model, step[0], step[1], bounds)
-            return drcgnet_scale_step(z, u, y, model, step[-1], step[:-1], bounds)
-
-        for scale in (1e155, 1e300):
-            y = scale * np.ones(model.m)
-            out = public_step(np.full(model.n, 0.5), scale * np.ones(model.n), y)
-            assert np.all(np.isfinite(out)), scale
-            trace = forward(y, theta, config, model)
-            out = public_step(trace.z0, trace.u[0], y)
-            np.testing.assert_array_equal(mrelu(out, 0.0, bounds.z_inf), trace.z[0][0])
+    def test_underflowing_fallback_gradient_stays_on_the_xi_sphere(self):
+        # the data-fit gradient overflows and its recompute, about 1e-229, has a
+        # squared norm that underflows; the step must move z by about B * xi,
+        # not send it to the clamp ceiling
+        bounds = SignalBounds(c_max=1.52e92, z_inf=19.710476026451484, xi=1.1263761501765088e-20,
+                              a=3.155936251341694e-4, b=19.710476026451484)
+        config = NetworkConfig(variant="cgnet", n=1, K=1, J=1, bounds=bounds,
+                               p_min=0.5, p_max=2.0, mu_bound=2.808103821780739)
+        theta = sample_parameters(config, 22578684)
+        trace = forward(np.array([-3.27868323e+268]), theta, config,
+                        MeasurementModel(np.array([[8.79497427e-99]])))
+        assert trace.z[0][0][0] == pytest.approx(trace.z0[0], rel=1e-12)
 
 
 def _trace_fields(trace):
@@ -428,9 +421,10 @@ class TestParameterStack:
         u, y = rng.standard_normal((2, 8)), rng.standard_normal((2, 4))
         B = np.stack([random_spd(rng, 8), random_spd(rng, 8)])
         mu = np.array([0.7, 0.0])
-        out = cgnet_scale_step(z, u, y, model, B, mu, BOUNDS)
+        config = _cg_config()
+        out = _scale_update(z, u, y, model, (B, mu), config)
         for t in range(2):
-            np.testing.assert_array_equal(out[t], cgnet_scale_step(z[t], u[t], y[t], model, B[t], mu[t], BOUNDS))
+            np.testing.assert_array_equal(out[t], _scale_update(z[t], u[t], y[t], model, (B[t], mu[t]), config))
 
     def test_rejects_bad_stacks(self):
         rng = np.random.default_rng(SEED_NET)
@@ -443,9 +437,6 @@ class TestParameterStack:
             forward(rng.standard_normal(4), (), config, model)
         with pytest.raises(ValueError):  # a stack of another (K, J)
             forward(rng.standard_normal(4), (theta, sample_parameters(_cg_config(K=1), 2)), config, model)
-        with pytest.raises(ValueError, match="mu of shape"):
-            cgnet_scale_step(np.ones((3, 8)), np.ones((3, 8)), np.ones((3, 4)), model,
-                             np.eye(8), np.ones(2), BOUNDS)
 
 
 class TestNetworkConfig:

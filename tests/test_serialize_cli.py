@@ -405,6 +405,19 @@ class TestCli:
         assert proc.stderr == ("configuration error: model: A must have finite entries "
                                "and row sums, got norm_inf=inf\n")
 
+    def test_overflowing_spectral_norm_is_one_error_line(self, tmp_path):
+        # finite row sums whose spectral norm overflows: named at load, not as y_max
+        cfg = _small_config()
+        cfg["model"] = {"m": 2, "n": 1, "matrix": {"generator": "ones", "scale": 1.5e308}}
+        cfg["dataset"]["sigma_u"]["n"] = 1
+        cfg["geb"]["ymax_mode"] = "noiseless"
+        path = tmp_path / "huge_norm2.json"
+        path.write_text(json.dumps(cfg))
+        proc = _run_from_source(["-m", "cgbound", "bound", "--config", str(path)], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == ("configuration error: model: A's spectral norm overflows "
+                               "float64, got norm2=inf\n")
+
     def test_overflowing_noise_is_one_error_line(self, tmp_path):
         # the dataset that sets y_max screens its noise by name, with no numpy warning
         cfg = _small_config()

@@ -158,8 +158,8 @@ MUTANTS = [
     ),
     Mutant(
         "validate_lets_nan_norms_pass", "networks.py",
-        "~(_block_norms(theta.blocks) <= radii * (1 + tol))",
-        "_block_norms(theta.blocks) > radii * (1 + tol)",
+        "~(_block_norms(theta.blocks) <= radii * (1 + BALL_TOL))",
+        "_block_norms(theta.blocks) > radii * (1 + BALL_TOL)",
         ["tests/test_networks.py::TestSampling::test_validation_rejects_each_violation"],
     ),
     Mutant(
@@ -336,22 +336,6 @@ MUTANTS = [
         "    if False:\n",
         ["tests/test_bounds.py::TestNonFiniteBound::test_sample_complexity_names_the_overflow"],
     ),
-    Mutant(
-        "cgnet_public_step_without_errstate", "networks.py",
-        """    with np.errstate(over="ignore", invalid="ignore"):
-        return _cgnet_scale_step(""",
-        """    with np.errstate():
-        return _cgnet_scale_step(""",
-        ["tests/test_networks.py::TestForward::test_public_steps_are_silent_at_huge_y[cgnet]"],
-    ),
-    Mutant(
-        "drcgnet_public_step_without_errstate", "networks.py",
-        """    with np.errstate(over="ignore", invalid="ignore"):
-        return _drcgnet_scale_step(""",
-        """    with np.errstate():
-        return _drcgnet_scale_step(""",
-        ["tests/test_networks.py::TestForward::test_public_steps_are_silent_at_huge_y[drcgnet]"],
-    ),
     # report stages over a config checked at load; shared verify checks run on demand
     Mutant(
         "report_gap_failures_left_out_of_summary", "report.py",
@@ -494,6 +478,36 @@ MUTANTS = [
         'with np.errstate(over="warn"):  # an overflowing row sum is named below',
         ["tests/test_model.py::TestMeasurementModel::"
          "test_overflowing_row_sum_is_named_without_a_warning"],
+    ),
+    # one scale step; the clipped fallback gradient; the named spectral-norm overflow
+    Mutant(
+        "scale_update_positivity_check_dropped", "networks.py",
+        "        if np.any((mu != 0.0)[..., None] & (z <= 0.0)):\n",
+        "        if False:\n",
+        ["tests/test_networks.py::TestGradZ::test_domain_error",
+         "tests/test_networks.py::TestForward::test_cgnet_rejects_a_zero_scale"],
+    ),
+    Mutant(
+        "scale_update_z_inf_clamp_dropped", "networks.py",
+        "    return mrelu(out, 0.0, b.z_inf)\n",
+        "    return out\n",
+        ["tests/test_networks.py::TestDrcgnetStep::test_composition_oracle",
+         "tests/test_networks.py::TestForward::test_trace_invariants"],
+    ),
+    Mutant(
+        "fallback_gradient_left_unscaled", "backend.py",
+        "        gh = np.ldexp(gh, -np.frexp(np.abs(gh).max(axis=-1, keepdims=True))[1])\n",
+        "",
+        ["tests/test_backend.py::test_fallback_gradient_whose_square_underflows_is_clipped_to_xi",
+         "tests/test_networks.py::TestForward::"
+         "test_underflowing_fallback_gradient_stays_on_the_xi_sphere"],
+    ),
+    Mutant(
+        "measurement_norm2_check_dropped", "model.py",
+        "        if not math.isfinite(norm2):\n",
+        "        if False:\n",
+        ["tests/test_model.py::TestMeasurementModel::test_overflowing_spectral_norm_is_named",
+         "tests/test_serialize_cli.py::TestCli::test_overflowing_spectral_norm_is_one_error_line"],
     ),
 ]
 
