@@ -35,7 +35,7 @@ SYMMETRY_TOL = 1e-12
 
 
 class NumericalFailure(RuntimeError):
-    """A linear solve produced non-finite values despite the SPD guards."""
+    """A linear solve was singular or produced non-finite values despite the SPD guards."""
 
 
 def _as_rows(x, n, name):
@@ -204,21 +204,6 @@ def _check_finite_rows(x, error, what):
         raise error(f"{what} non-finite values{where}")
 
 
-class _SpdStack(tuple):
-    """A tuple of same-size ``SpdMatrix`` with ``P`` and ``P_inv`` stacked once."""
-
-    def __new__(cls, mats):
-        self = super().__new__(cls, mats)
-        if not self or not all(isinstance(p, SpdMatrix) for p in self):
-            raise TypeError("P must be an SpdMatrix or a nonempty tuple of them")
-        if len({p.n for p in self}) != 1:
-            raise ValueError("a stack of P must hold matrices of one size")
-        self.P = np.array([p.P for p in self])
-        self.P_inv = np.array([p.P_inv for p in self])
-        self.n = self[0].n
-        return self
-
-
 def tikhonov_solve(model, z, y, P):
     """Regularized least-squares estimate ``(A_z^T A_z + P^-1)^-1 A_z^T y``.
 
@@ -229,22 +214,31 @@ def tikhonov_solve(model, z, y, P):
     ``z`` and ``y`` are one vector each, or ``(B, n)`` and ``(B, m)`` stacks
     solved row by row into a ``(B, n)`` result; each row is bitwise equal to
     the solve of that row alone. ``P`` is one ``SpdMatrix`` for every row,
-    or a tuple of B of them, one per row of the stacks. A non-finite result
-    raises ``NumericalFailure``, naming the first failing row of a stack.
+    or a tuple of B of them, one per row, stacked as the form reads them
+    (``P`` or ``P^-1``). A system singular in float64 raises ``NumericalFailure``,
+    and so does a non-finite result, naming the first failing row of a stack.
     """
     z = _as_rows(z, model.n, "z")
     y = _as_rows(y, model.m, "y")
     if z.shape[:-1] != y.shape[:-1]:
         raise ValueError(f"z and y must stack the same rows, got shapes {z.shape} and {y.shape}")
-    if not isinstance(P, SpdMatrix):
-        P = P if isinstance(P, _SpdStack) else _SpdStack(P)
+    one = isinstance(P, SpdMatrix)
+    if not one:
+        P = tuple(P)
+        if not P or not all(isinstance(p, SpdMatrix) for p in P):
+            raise TypeError("P must be an SpdMatrix or a nonempty tuple of them")
         if z.shape[:-1] != (len(P),):
             raise ValueError(f"a tuple of {len(P)} P needs ({len(P)}, n) rows, got shape {z.shape}")
-    if P.n != model.n:
-        raise ValueError(f"P must be {model.n} x {model.n}, got {P.n}")
-    if model.m < model.n:
-        out = kernels["tikhonov_woodbury"](model.A, z, y, P.P)
-    else:
-        out = kernels["tikhonov_primal"](model.A, z, y, P.P_inv)
+    n = P.n if one else next((p.n for p in P if p.n != model.n), model.n)  # first wrong size
+    if n != model.n:
+        raise ValueError(f"P must be {model.n} x {model.n}, got {n}")
+    woodbury = model.m < model.n
+    read = "P" if woodbury else "P_inv"  # the covariance matrix the form reads
+    M = getattr(P, read) if one else np.array([getattr(p, read) for p in P])
+    try:
+        out = kernels["tikhonov_woodbury" if woodbury else "tikhonov_primal"](model.A, z, y, M)
+    except np.linalg.LinAlgError as exc:
+        system = "I + A_z P A_z^T" if woodbury else "A_z^T A_z + P^-1"
+        raise NumericalFailure(f"tikhonov solve: the system {system} is singular in float64") from exc
     _check_finite_rows(out, NumericalFailure, "tikhonov solve produced")
     return out

@@ -18,8 +18,8 @@ vector or a stack of them along a leading batch axis (``y`` of shape
 ``(m,)`` or ``(B, m)``), and every iterate carries the same leading shape.
 A stack runs as one pass, and each of its rows is bitwise equal to the
 forward pass of that row alone. ``forward`` also takes a tuple of parameter
-sets for one measurement; they run as one pass along the same leading axis,
-with every parameter stacked once per call.
+sets for one measurement, run as one pass along the same leading axis: each
+block stack is joined once per call, and each solve stacks its covariances.
 """
 
 import math
@@ -32,7 +32,6 @@ from .model import (
     SignalBounds,
     SpdMatrix,
     _as_rows,
-    _SpdStack,
     _check_finite_rows,
     ball_project,
     mrelu,
@@ -253,9 +252,9 @@ def forward(y, theta, config, model):
     one measurement ``y``: every field then has shape ``(T, n)``, and row
     ``t`` equals the trace of ``forward(y, theta[t], ...)`` bitwise.
 
-    A non-finite ``y`` raises ``ValueError`` naming its first bad row. An
-    overflow in the layers leaves an inf or NaN that the next solve reports
-    as ``NumericalFailure``, so numpy's warnings about it are silenced.
+    A non-finite ``y`` raises ``ValueError`` naming its first bad row. A
+    singular solve raises ``NumericalFailure``, as does the inf or NaN that an
+    overflow in the layers leaves, so numpy's warnings about it are silenced.
     """
     y = _as_rows(y, model.m, "y")
     _check_finite_rows(y, ValueError, "y has")
@@ -269,7 +268,7 @@ def forward(y, theta, config, model):
             raise TypeError("theta must be a ParameterSet or a nonempty tuple of them")
         if y.ndim != 1:
             raise ValueError(f"a tuple of parameter sets takes one y of shape ({model.m},)")
-        P, blocks = _SpdStack(t.P for t in theta), _stack_blocks([t.blocks for t in theta])
+        P, blocks = tuple(t.P for t in theta), _stack_blocks([t.blocks for t in theta])
         y = np.array([y] * len(theta))
     with np.errstate(over="ignore", invalid="ignore"):
         z = _initial_scale(y, model, config)

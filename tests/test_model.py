@@ -1,14 +1,18 @@
 """Core types, activations, covariance construction, and the solver."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cgbound.backend import kernels
 from cgbound.model import (
     MeasurementModel,
+    NumericalFailure,
     SignalBounds,
     SpdMatrix,
     ball_project,
@@ -259,6 +263,25 @@ class TestSpectralNorm:
         assert operator_inf_norm(M) == pytest.approx(3.5)
 
 
+@st.composite
+def _solve_cases(draw):
+    """A model scaled by 10^e over the float64 range, scales in the z_inf
+    ball with some exact zeros, and one P or a tuple of them, one per row."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    try:
+        model = MeasurementModel(10.0 ** draw(st.integers(-150, 205)) * rng.standard_normal((m, n)))
+    except ValueError:
+        assume(False)
+    rows = draw(st.sampled_from([None, 1, 2, 3]))
+    lead = () if rows is None else (rows,)
+    z_inf = SignalBounds.default().z_inf
+    z = rng.uniform(-z_inf, z_inf, size=lead + (n,)) * (rng.random(lead + (n,)) < 0.7)
+    y = rng.standard_normal(lead + (m,))
+    Ps = [SpdMatrix(random_spd(rng, n)) for _ in range(rows or 1)]
+    return model, z, y, Ps[0] if rows is None else tuple(Ps)
+
+
 class TestTikhonovSolve:
     def test_scalar_instance(self):
         model = MeasurementModel(np.array([[1.0]]))
@@ -347,12 +370,41 @@ class TestTikhonovSolve:
             tikhonov_solve(model, np.zeros((3, 3)), np.zeros((3, 3)), (P, P))
         with pytest.raises(ValueError, match="needs"):
             tikhonov_solve(model, np.zeros(3), np.zeros(3), (P,))
-        with pytest.raises(ValueError, match="one size"):
+        with pytest.raises(ValueError, match="^P must be 3 x 3, got 2$"):
             tikhonov_solve(model, np.zeros((2, 3)), np.zeros((2, 3)), (P, SpdMatrix(np.eye(2))))
         with pytest.raises(TypeError):
             tikhonov_solve(model, np.zeros((1, 3)), np.zeros((1, 3)), (np.eye(3),))
         with pytest.raises(TypeError):
             tikhonov_solve(model, np.zeros((1, 3)), np.zeros((1, 3)), ())
+
+    @pytest.mark.parametrize("shape, system", [
+        ((2, 3), "I + A_z P A_z^T"), ((3, 2), "A_z^T A_z + P^-1"),
+    ], ids=["woodbury", "primal"])
+    def test_singular_system_is_a_numerical_failure(self, shape, system):
+        # A_z's Gram matrix, of size 1e304, is rank one: the identity or P^-1
+        # added to it is below rounding, so the system is singular in float64
+        model = MeasurementModel(1e152 * np.ones(shape))
+        m, n = shape
+        with pytest.raises(NumericalFailure, match=f"the system {re.escape(system)} is singular"):
+            tikhonov_solve(model, np.ones(n), np.ones(m), SpdMatrix(np.eye(n)))
+
+    def test_singular_system_with_tuple_of_P(self):
+        model = MeasurementModel(1e152 * np.ones((2, 3)))
+        P = SpdMatrix(np.eye(3))
+        with pytest.raises(NumericalFailure, match=r"I \+ A_z P A_z\^T is singular"):
+            tikhonov_solve(model, np.ones((2, 3)), np.ones((2, 2)), (P, P))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(_solve_cases())
+    @example((MeasurementModel(1e152 * np.ones((2, 3))), np.ones(3), np.ones(2), SpdMatrix(np.eye(3))))
+    def test_solve_returns_finite_rows_or_a_numerical_failure(self, case):
+        model, z, y, P = case
+        with np.errstate(over="ignore", invalid="ignore"):  # as forward runs its solves
+            try:
+                out = tikhonov_solve(model, z, y, P)
+            except NumericalFailure:
+                return
+        assert out.shape == z.shape and np.all(np.isfinite(out))
 
 
 class TestCostEval:

@@ -268,6 +268,16 @@ class TestForward:
             with pytest.raises(NumericalFailure, match="non-finite values$"):
                 forward(Y[2], theta, config, model)
 
+    @pytest.mark.filterwarnings("error")
+    def test_singular_solve_is_a_numerical_failure(self):
+        # I + A_z P A_z^T is rank one at 1e304, with the identity below rounding
+        config = _dr_config(n=3, K=1, J=1)
+        model = MeasurementModel(1e152 * np.ones((2, 3)))
+        theta = sample_parameters(config, 1)
+        for thetas in (theta, (theta, theta)):
+            with pytest.raises(NumericalFailure, match="is singular in float64$"):
+                forward(np.ones(2), thetas, config, model)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_measurement(self, bad):
         rng = np.random.default_rng(SEED_NET)

@@ -418,6 +418,20 @@ class TestCli:
         assert proc.stderr == ("configuration error: model: A's spectral norm overflows "
                                "float64, got norm2=inf\n")
 
+    def test_singular_solve_is_one_error_line(self, tmp_path):
+        # I + A_z P A_z^T is rank one at 1e304: a numerical failure, not numpy's error
+        cfg = default_config()
+        cfg["model"] = {"m": 2, "n": 3, "matrix": {"generator": "ones", "scale": 1e152}}
+        cfg["dataset"]["sigma_u"]["n"] = 3
+        cfg_path, y_path = tmp_path / "singular.json", tmp_path / "y.json"
+        cfg_path.write_text(json.dumps(cfg))
+        y_path.write_text(json.dumps(array_to_json(np.array([1.0, 1.0]))))
+        proc = _run_from_source(["-m", "cgbound", "forward", "--config", str(cfg_path),
+                                 "--y", str(y_path)], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == ("numerical failure: tikhonov solve: the system "
+                               "I + A_z P A_z^T is singular in float64\n")
+
     def test_overflowing_noise_is_one_error_line(self, tmp_path):
         # the dataset that sets y_max screens its noise by name, with no numpy warning
         cfg = _small_config()

@@ -509,6 +509,31 @@ MUTANTS = [
         ["tests/test_model.py::TestMeasurementModel::test_overflowing_spectral_norm_is_named",
          "tests/test_serialize_cli.py::TestCli::test_overflowing_spectral_norm_is_one_error_line"],
     ),
+    # the solve's dispatch: a tuple of P stacked per form; a singular system named
+    Mutant(
+        "tuple_of_P_stacks_P_inv_for_woodbury", "model.py",
+        "np.array([getattr(p, read) for p in P])",
+        "np.array([p.P_inv for p in P])",
+        ["tests/test_model.py::TestTikhonovSolve::test_tuple_of_P_equals_row_solves",
+         "tests/test_networks.py::TestParameterStack::test_rows_match_single_passes"],
+    ),
+    Mutant(
+        "tuple_of_P_row_count_check_dropped", "model.py",
+        "        if z.shape[:-1] != (len(P),):\n",
+        "        if False:\n",
+        ["tests/test_model.py::TestTikhonovSolve::test_tuple_of_P_validation"],
+    ),
+    Mutant(
+        "singular_solve_left_as_linalg_error", "model.py",
+        "    except np.linalg.LinAlgError as exc:\n",
+        "    except NumericalFailure as exc:\n",
+        ["tests/test_model.py::TestTikhonovSolve::test_singular_system_is_a_numerical_failure",
+         "tests/test_model.py::TestTikhonovSolve::test_singular_system_with_tuple_of_P",
+         "tests/test_model.py::TestTikhonovSolve::"
+         "test_solve_returns_finite_rows_or_a_numerical_failure",
+         "tests/test_networks.py::TestForward::test_singular_solve_is_a_numerical_failure",
+         "tests/test_serialize_cli.py::TestCli::test_singular_solve_is_one_error_line"],
+    ),
 ]
 
 
