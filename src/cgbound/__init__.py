@@ -13,6 +13,7 @@ from .bounds import (
     sample_complexity,
     scaling_fit,
     sweep_bound,
+    sweep_fit,
     ymax_estimate,
 )
 from .datagen import CgDataSpec, CgDataset, GapReport, empirical_gap, generate_cg_dataset, mae_loss

@@ -32,6 +32,7 @@ __all__ = [
     "geb_bound",
     "scaling_study",
     "sweep_bound",
+    "sweep_fit",
     "scaling_fit",
     "sample_complexity",
     "norm_log_sum",
@@ -119,11 +120,10 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares log-log slope of the complexity term along one axis."""
+    """Least-squares log-log slope of the complexity term along a study's axis."""
 
     exponent: float
     r_squared: float
-    axis: str
     values: tuple
     fitted: tuple
     r_diagnostic: tuple  # per-point log(y_max) + log(||A||_2) + log(||A||_inf)
@@ -132,13 +132,13 @@ class ScalingFit:
 @dataclass(frozen=True)
 class SweepSpec:
     """The axis ("n", "kj" or "ns") of a scaling study, its values (at least
-    4 positive integers spanning a decade), the sample count of each point
-    off the ``ns`` axis and the confidence; see :func:`scaling_study`."""
+    4 positive integers spanning a decade), the sample count off the ``ns``
+    axis and the confidence, defaulted by ``serialize.sweep_specs`` alone."""
 
     axis: str
     values: tuple
-    Ns: int = 10000
-    eps_conf: float = 0.05
+    Ns: int
+    eps_conf: float
 
     def __post_init__(self):
         _check_ns(self.Ns)
@@ -384,30 +384,28 @@ def scaling_study(spec):
 
 
 def sweep_bound(config, model, loss, spec):
-    """Evaluate the bound along one axis; rows of (axis, report, r).
+    """Evaluate the bound along one axis; rows of (value, report, r).
 
-    Along ``ns`` only the sample count changes, so the Ns-free entropy is
-    assembled once and each row applies the Ns-dependent factors to it, by
-    the helper :func:`geb_bound` uses.
+    Each row applies the Ns-dependent factors of its sample count to the
+    Ns-free entropy of its network and model, by the two helpers of
+    :func:`geb_bound`; along ``ns`` that entropy is assembled once per sweep.
     """
-    if spec.axis == "ns":
-        y_max = ymax_estimate(model, config.bounds.c_max, "noiseless")
-        entropy = _entropy(config, model, spec.eps_conf, y_max)
-        r = norm_log_sum(model, y_max)
-        return [(float(v), _report(config, loss, int(v), spec.eps_conf, y_max, 0.0, entropy), r)
-                for v in spec.values]
-    rows = []
+    rows, entropy = [], None
     for v in spec.values:
+        cfg, mdl, lss = config, model, loss
+        Ns = int(v) if spec.axis == "ns" else spec.Ns
         if spec.axis == "n":
             cfg = replace(config, n=int(v))
             mdl = _sweep_model(cfg.n)
             lss = LossSpec.mae(cfg.n, cfg.bounds.c_max) if loss.name == "mae" else loss
-        else:  # kj
+        elif spec.axis == "kj":
             K, J = _factor_kj(int(v))
-            cfg, mdl, lss = replace(config, K=K, J=J), model, loss
+            cfg = replace(config, K=K, J=J)
         y_max = ymax_estimate(mdl, cfg.bounds.c_max, "noiseless")
-        rep = geb_bound(cfg, mdl, lss, spec.Ns, spec.eps_conf, y_max)
-        rows.append((float(v), rep, norm_log_sum(mdl, y_max)))
+        if entropy is None or spec.axis != "ns":
+            entropy = _entropy(cfg, mdl, spec.eps_conf, y_max)
+        rows.append((float(v), _report(cfg, lss, Ns, spec.eps_conf, y_max, 0.0, entropy),
+                     norm_log_sum(mdl, y_max)))
     return rows
 
 
@@ -423,7 +421,12 @@ def _least_squares_loglog(xs, ys):
 
 
 def scaling_fit(config, model, loss, spec):
-    """Log-log slope of the complexity term along the sweep axis.
+    """:func:`sweep_fit` of the rows :func:`sweep_bound` returns for ``spec``."""
+    return sweep_fit(config, model, spec, sweep_bound(config, model, loss, spec))
+
+
+def sweep_fit(config, model, spec, rows):
+    """Log-log slope of the complexity term over the rows :func:`sweep_bound` returned.
 
     Along ``n`` the fit uses the matrix-parameter block of the complexity
     term (the part whose dimension count grows with n; the covariance and
@@ -431,11 +434,6 @@ def scaling_fit(config, model, loss, spec):
     every block grows alike, so the fit uses the full term divided by the
     constant ``sqrt(ln m + ln n)``. Along ``ns`` the raw term is fitted.
     """
-    return _fit_rows(config, model, spec, sweep_bound(config, model, loss, spec))
-
-
-def _fit_rows(config, model, spec, rows):
-    """``scaling_fit`` of the rows ``sweep_bound`` returned for ``spec``."""
     xs = [v for v, _, _ in rows]
     if spec.axis == "n":
         ys = [rep.term2_weights / math.sqrt(math.log(v)) for v, rep, _ in rows]
@@ -449,7 +447,6 @@ def _fit_rows(config, model, spec, rows):
     return ScalingFit(
         exponent=exponent,
         r_squared=r2,
-        axis=spec.axis,
         values=tuple(xs),
         fitted=tuple(float(y) for y in ys),
         r_diagnostic=tuple(float(r) for _, _, r in rows),

@@ -23,7 +23,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bounds import LossSpec, _fit_rows, geb_bound, scaling_study, sweep_bound, ymax_estimate
+from .bounds import LossSpec, geb_bound, scaling_study, sweep_bound, sweep_fit, ymax_estimate
 from .datagen import CgDataSpec, empirical_gap, generate_cg_dataset
 from .model import MeasurementModel, SignalBounds, SpdMatrix
 from .networks import NetworkConfig, sample_parameters
@@ -147,8 +147,7 @@ def _scaling_stage(run_config):
         cfg, mdl, spec, loss = scaling_study(spec)
         rows = sweep_bound(cfg, mdl, loss, spec)
         files[f"sweep_{axis}.csv"] = sweep_csv(rows)
-        fit = asdict(_fit_rows(cfg, mdl, spec, rows))
-        fits[axis] = {k: v for k, v in fit.items() if k != "axis"}
+        fits[axis] = asdict(sweep_fit(cfg, mdl, spec, rows))
     if fits:
         files["scaling.json"] = dumps_canonical(fits)
     return files, []

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ from oracles import (
 SEED_GEB = 0x5EED_0004
 
 E3 = math.exp(3.0)
+
+# the sweep fields that serialize.sweep_specs defaults
+SWEEP_FIELDS = {"Ns": 10000, "eps_conf": 0.05}
+
+
+def _count_calls(monkeypatch, *names):
+    """``{name: 0}`` counting each later call of the named ``bounds`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(bounds, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bounds, name, counted)
+    return calls
 
 
 class TestDimCov:
@@ -365,7 +380,7 @@ class TestNonFiniteBound:
         match = r"^the bound overflows float64 at tau = 1e\+308, c = 2\.0 and Ns = 1000:"
         with pytest.raises(ValueError, match=match):
             geb_bound(run.network, run.model, loss, 1000, 0.05, y_max)
-        spec = SweepSpec(axis="ns", values=(1000, 10000, 100000, 1000000))
+        spec = SweepSpec(axis="ns", values=(1000, 10000, 100000, 1000000), **SWEEP_FIELDS)
         with pytest.raises(ValueError, match=match):
             bounds.sweep_bound(run.network, run.model, loss, spec)
 
@@ -426,26 +441,39 @@ class TestScaling:
         cfg, mdl, spec, loss = studies["ns"]
         fit = scaling_fit(cfg, mdl, loss, spec)
         assert fit.exponent == pytest.approx(-0.5, abs=1e-6)
-        assert fit.axis == "ns"
+        assert "axis" not in asdict(fit)  # the study's key names the axis
 
     def test_degenerate_sweep_rejected(self):
         with pytest.raises(ValueError):
-            SweepSpec(axis="n", values=(4, 5, 6, 7))
+            SweepSpec(axis="n", values=(4, 5, 6, 7), **SWEEP_FIELDS)
         with pytest.raises(ValueError):
-            SweepSpec(axis="ns", values=(10, 1000))
+            SweepSpec(axis="ns", values=(10, 1000), **SWEEP_FIELDS)
         with pytest.raises(ValueError):
-            SweepSpec(axis="depth", values=(1, 10, 100, 1000))
+            SweepSpec(axis="depth", values=(1, 10, 100, 1000), **SWEEP_FIELDS)
         with pytest.raises(ValueError, match="integers"):
-            SweepSpec(axis="n", values=(4, 8, 16, 32, 64.5))
+            SweepSpec(axis="n", values=(4, 8, 16, 32, 64.5), **SWEEP_FIELDS)
         for name, value in (("Ns", 0), ("Ns", 2.5), ("eps_conf", 0.0), ("eps_conf", 1.0)):
             with pytest.raises(ValueError, match=name):
-                SweepSpec(axis="ns", values=(10, 100, 1000, 10000), **{name: value})
+                SweepSpec(axis="ns", values=(10, 100, 1000, 10000), **{**SWEEP_FIELDS, name: value})
+        with pytest.raises(TypeError, match="Ns.*eps_conf"):  # serialize.sweep_specs defaults them
+            SweepSpec(axis="ns", values=(10, 100, 1000, 10000))
 
     def test_n_axis_starts_at_two(self):
         # the n-axis fit divides by sqrt(ln n), which is 0 at n = 1
         with pytest.raises(ValueError, match="the n axis starts at 2"):
-            SweepSpec(axis="n", values=(1, 2, 4, 8, 16))
-        assert SweepSpec(axis="kj", values=(1, 4, 16, 64)).values == (1, 4, 16, 64)
+            SweepSpec(axis="n", values=(1, 2, 4, 8, 16), **SWEEP_FIELDS)
+        assert SweepSpec(axis="kj", values=(1, 4, 16, 64), **SWEEP_FIELDS).values == (1, 4, 16, 64)
+
+    @staticmethod
+    def _assert_rows_equal_geb_bound(rows, spec, points):
+        """Each row is the value, ``geb_bound`` and the r diagnostic of its
+        ``(config, model, loss, Ns)`` point, bitwise."""
+        assert [v for v, _, _ in rows] == [float(v) for v in spec.values]
+        for (_, rep, r), (cfg, mdl, loss, Ns) in zip(rows, points, strict=True):
+            y_max = ymax_estimate(mdl, cfg.bounds.c_max, "noiseless")
+            want = geb_bound(cfg, mdl, loss, Ns, spec.eps_conf, y_max)
+            assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
+            assert r.hex() == bounds.norm_log_sum(mdl, y_max).hex()
 
     @pytest.mark.parametrize("variant", ["default", "cgnet"])
     def test_ns_rows_equal_geb_bound(self, variant):
@@ -453,23 +481,43 @@ class TestScaling:
         if variant == "cgnet":
             cfg = _cg_config(n=cfg.n, K=3, J=2)
         rows = bounds.sweep_bound(cfg, mdl, loss, spec)
-        y_max = ymax_estimate(mdl, cfg.bounds.c_max, "noiseless")
-        assert [v for v, _, _ in rows] == [float(v) for v in spec.values]
-        for v, rep, r in rows:
-            want = geb_bound(cfg, mdl, loss, int(v), spec.eps_conf, y_max)
-            assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
-            assert r.hex() == bounds.norm_log_sum(mdl, y_max).hex()
+        self._assert_rows_equal_geb_bound(rows, spec, [(cfg, mdl, loss, int(v)) for v in spec.values])
+
+    @pytest.mark.parametrize("loss_name", ["ssim", "mae"])
+    def test_n_rows_equal_geb_bound(self, loss_name):
+        # each point resizes the network and the model; a mae loss follows n
+        cfg, _, spec, loss = scaling_study_specs({})["n"]
+        if loss_name == "mae":
+            loss = LossSpec.mae(cfg.n, cfg.bounds.c_max)
+        points = []
+        for v in map(int, spec.values):
+            point_loss = LossSpec.mae(v, cfg.bounds.c_max) if loss_name == "mae" else loss
+            model = MeasurementModel(float(v) ** 6.0 * np.ones((1, v)))
+            points.append((replace(cfg, n=v), model, point_loss, spec.Ns))
+        rows = bounds.sweep_bound(cfg, points[0][1], loss, spec)
+        self._assert_rows_equal_geb_bound(rows, spec, points)
+
+    def test_kj_rows_equal_geb_bound(self):
+        # K * J values that are not squares run as K = v, J = 1
+        spec = SweepSpec(axis="kj", values=(2, 8, 32, 128), **SWEEP_FIELDS)
+        cfg, mdl, spec, loss = bounds.scaling_study(spec)
+        rows = bounds.sweep_bound(cfg, mdl, loss, spec)
+        self._assert_rows_equal_geb_bound(
+            rows, spec, [(replace(cfg, K=int(v), J=1), mdl, loss, spec.Ns) for v in spec.values])
+        assert [rep.inputs["KJD_plus_1"] for _, rep, _ in rows] == [7, 25, 97, 385]
 
     def test_ns_sweep_assembles_constants_once(self, monkeypatch):
         cfg, mdl, spec, loss = scaling_study_specs({})["ns"]
-        calls = {"network_constants": 0, "geb_bound": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(bounds, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(bounds, name, counted)
+        calls = _count_calls(monkeypatch, "network_constants", "geb_bound")
         assert len(bounds.sweep_bound(cfg, mdl, loss, spec)) == len(spec.values)
         assert calls == {"network_constants": 1, "geb_bound": 0}
+
+    @pytest.mark.parametrize("axis", ["n", "kj"])
+    def test_sweep_assembles_constants_once_per_point(self, monkeypatch, axis):
+        cfg, mdl, spec, loss = scaling_study_specs({})[axis]
+        calls = _count_calls(monkeypatch, "network_constants", "geb_bound")
+        assert len(bounds.sweep_bound(cfg, mdl, loss, spec)) == len(spec.values)
+        assert calls == {"network_constants": len(spec.values), "geb_bound": 0}
 
     def test_r_diagnostic_present(self):
         studies = scaling_study_specs({})
@@ -526,6 +574,20 @@ class TestSampleComplexity:
         with pytest.raises(ValueError, match="unattainable"):
             sample_complexity(_dr_config(), self.MODEL, self.LOSS, gap, 0.05, 2.0)
 
+    def test_rounding_up_from_the_closed_form(self):
+        # the gap one ulp below block(6) puts ceil((block(1) / gap)^2) at 6,
+        # whose block is still above the gap, so the answer steps up to 7
+        run = load_run_config(default_config())
+        y_max = ymax_estimate(run.model, run.bounds.c_max, "noiseless")
+
+        def block(ns):
+            rep = geb_bound(run.network, run.model, run.loss, ns, 0.05, y_max)
+            return rep.term2 + rep.term3
+
+        gap = float(np.nextafter(block(6), 0.0))
+        assert math.ceil((block(1) / gap) ** 2) == 6 and block(6) > gap
+        assert sample_complexity(run.network, run.model, run.loss, gap, 0.05, y_max) == 7
+
     def test_rejects_nonpositive_gap(self):
         for gap in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="gap"):
@@ -533,12 +595,7 @@ class TestSampleComplexity:
 
     def test_assembles_constants_once(self, monkeypatch):
         gap = self._block(1) / 30.0
-        calls = {"network_constants": 0, "geb_bound": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(bounds, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(bounds, name, counted)
+        calls = _count_calls(monkeypatch, "network_constants", "geb_bound")
         assert sample_complexity(_dr_config(), self.MODEL, self.LOSS, gap, 0.05, 2.0) > 1
         assert calls == {"network_constants": 1, "geb_bound": 0}
 

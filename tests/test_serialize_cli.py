@@ -74,6 +74,13 @@ def _pinned_config():
     return cfg
 
 
+def _cgnet_config():
+    """The default config with its network swapped for a cgnet."""
+    cfg = default_config()
+    cfg["network"] = {"variant": "cgnet", "K": 2, "J": 2, "p_min": 0.5, "p_max": 2.0, "mu": 1.0}
+    return cfg
+
+
 def _parsed_csv(text):
     """CSV text as its header and float rows."""
     header, *rows = csv.reader(io.StringIO(text))
@@ -315,6 +322,20 @@ class TestRunConfig:
         assert f"configuration error: {field}:" in capsys.readouterr().err
         assert not out.exists() or os.listdir(out) == []
 
+    def test_cgnet_network(self):
+        net = load_run_config(_cgnet_config()).network
+        assert (net.variant, net.K, net.J, net.mu_bound) == ("cgnet", 2, 2, 1.0)
+        for value, match in ((None, "network.mu: missing required field"),
+                             (True, "network.mu: expected a finite number, got True"),
+                             (0.0, "network: cgnet requires a positive finite mu_bound")):
+            cfg = _cgnet_config()
+            if value is None:
+                del cfg["network"]["mu"]
+            else:
+                cfg["network"]["mu"] = value
+            with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
+                load_run_config(cfg)
+
     def test_json_string_and_file_sources(self, tmp_path):
         text = json.dumps(_small_config())
         assert load_run_config(text).model.n == 8
@@ -361,6 +382,23 @@ class TestCli:
         rc = main(["solve", "--config", str(cfg_path), "--y", str(y_path), "--param-seed", "5"])
         assert rc == 0
         est = json.loads(capsys.readouterr().out)["estimate"]
+        np.testing.assert_allclose(
+            array_from_json(est), array_from_json(trace["output"]), rtol=1e-12, atol=1e-15
+        )
+
+    def test_cgnet_bound_solve_and_forward(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cgnet.json"
+        cfg_path.write_text(json.dumps(_cgnet_config()))
+        y_path = tmp_path / "y.json"
+        y_path.write_text(json.dumps(array_to_json(np.array([0.4, -0.2, 0.1, 0.3]))))
+        assert main(["bound", "--config", str(cfg_path)]) == 0
+        assert _strict_loads(capsys.readouterr().out)["total"] > 0
+        inputs = ["--config", str(cfg_path), "--y", str(y_path), "--param-seed", "5"]
+        assert main(["forward", *inputs]) == 0
+        trace = _strict_loads(capsys.readouterr().out)
+        assert len(trace["u"]) == 3  # K + 1 estimates
+        assert main(["solve", *inputs]) == 0
+        est = _strict_loads(capsys.readouterr().out)["estimate"]
         np.testing.assert_allclose(
             array_from_json(est), array_from_json(trace["output"]), rtol=1e-12, atol=1e-15
         )
@@ -490,6 +528,14 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "axis,term2,term3,total"
         assert len(lines) == 6
+
+    def test_sweep_out_writes_the_printed_csv(self, tmp_path, capsys):
+        assert main(["sweep", "--config", "default", "--axis", "kj"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "sweep_kj.csv"
+        assert main(["sweep", "--config", "default", "--axis", "kj", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -7,7 +7,8 @@ to a temporary directory, applies the edit there, and runs only those
 tests against the copy. A mutant is ``killed`` when every named test id
 (or, for a parametrized or class id, at least one test under it) fails;
 ``survived`` when none fails; ``partial`` otherwise. An old text that no
-longer occurs exactly once is an error, not a skip.
+longer occurs exactly once is an error, not a skip. Each mutant's run time
+is printed and not written, so the ledger changes only when an outcome does.
 
     python tools/mutants.py            # run every mutant, write MUTANTS.json
     python tools/mutants.py NAME ...   # run the named mutants, print only
@@ -206,9 +207,22 @@ MUTANTS = [
     ),
     Mutant(
         "ns_rows_use_spec_ns", "bounds.py",
-        "_report(config, loss, int(v), spec.eps_conf",
-        "_report(config, loss, spec.Ns, spec.eps_conf",
+        "_report(cfg, lss, Ns, spec.eps_conf",
+        "_report(cfg, lss, spec.Ns, spec.eps_conf",
         ["tests/test_bounds.py::TestScaling::test_ns_rows_equal_geb_bound"],
+    ),
+    Mutant(
+        "sweep_entropy_reused_on_every_axis", "bounds.py",
+        'if entropy is None or spec.axis != "ns":',
+        "if entropy is None:",
+        ["tests/test_bounds.py::TestScaling::test_n_rows_equal_geb_bound",
+         "tests/test_bounds.py::TestScaling::test_kj_rows_equal_geb_bound"],
+    ),
+    Mutant(
+        "sample_complexity_upward_step_dropped", "bounds.py",
+        "while block(ns) > gap:\n        ns += 1",
+        "while False:\n        ns += 1",
+        ["tests/test_bounds.py::TestSampleComplexity::test_rounding_up_from_the_closed_form"],
     ),
     Mutant(
         "array_data_asarray_read", "serialize.py",
@@ -573,18 +587,15 @@ def run_mutant(m, timeout=900):
             fh.write(text.replace(m.old, m.new))
         env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
         cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *m.tests]
-        t0 = time.perf_counter()
         proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
                               timeout=timeout)
-        seconds = time.perf_counter() - t0
     failed = sorted({line.split()[1] for line in proc.stdout.splitlines()
                      if line.startswith(("FAILED ", "ERROR "))})
     if proc.returncode not in (0, 1):
         raise SystemExit(f"{m.name}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}")
     caught = [t for t in m.tests if any(f == t or f.startswith((t + "[", t + "::")) for f in failed)]
     status = "killed" if len(caught) == len(m.tests) else "partial" if caught else "survived"
-    return {"name": m.name, "file": m.file, "status": status, "seconds": round(seconds, 2),
-            "tests": m.tests, "failed": failed}
+    return {"name": m.name, "file": m.file, "status": status, "tests": m.tests, "failed": failed}
 
 
 def main(argv):
@@ -598,9 +609,10 @@ def main(argv):
     chosen = [known[n] for n in argv] if argv else MUTANTS
     rows = []
     for m in chosen:
+        t0 = time.perf_counter()
         row = run_mutant(m)
         rows.append(row)
-        print(f"{row['status']:9s} {row['seconds']:7.2f} s  {m.name}", flush=True)
+        print(f"{row['status']:9s} {time.perf_counter() - t0:7.2f} s  {m.name}", flush=True)
     if not argv:
         ledger = {"python": platform.python_version(), "mutants": rows}
         with open(LEDGER, "w", encoding="utf-8") as fh:
