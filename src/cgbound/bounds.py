@@ -228,8 +228,9 @@ def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
     ``sums`` holds the covariance, matrix-block and scalar-block entropy sums
     that term2 scales. ``empirical_loss`` is only checked, in the order
     :func:`geb_bound` checks its inputs. Each covering block enters as
-    ``_covering_term(dimension, log coeff + log kappa)``; the scalar block is
-    the last, of shape ``()`` in ``config.block_shapes()``.
+    ``_covering_term(dimension, log coeff + log kappa)``, with the dimension
+    and radius of its row of ``config.block_specs``; the scalar block is that
+    table's last row and every other row is a matrix block.
     """
     _check_eps_conf(eps_conf)
     if not (math.isfinite(y_max) and y_max >= 0):
@@ -244,8 +245,8 @@ def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
     kjd1 = config.K * config.J * config.D + 1
     dim_p = dim_cov(config.cov_structure, config.n)
 
-    dims = config.parameter_dims()
-    radii = (config.p_max, *(w for _, w in dims))
+    specs = config.block_specs
+    radii = (config.p_max, *(w for _, _, w in specs))
     ratios = [4.0 * w * kjd1 / c_max for w in radii]
     for w, ratio in zip(radii, ratios):
         if not sys.float_info.min <= ratio < math.inf:
@@ -253,7 +254,8 @@ def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
                              f"outside the normal float64 range, at radius = {w!r} and c_max = {c_max!r}")
     term2_cov = float(_covering_term(dim_p, math.log(ratios[0]) + cns.log_kappa))
 
-    alphas, omegas = np.array(dims, dtype=np.float64).T
+    alphas = np.array([a for _, a, _ in specs], dtype=np.float64)
+    omegas = np.array(radii[1:], dtype=np.float64)
     log_coeffs = np.log(ratios[1:])
     terms = _covering_term(alphas, log_coeffs + cns.log_kappa_kdj)  # (K, J, D)
     block_sums = np.add.reduce(terms, axis=(0, 1))  # per d

@@ -145,24 +145,19 @@ def datafit_grad_constants(z_inf, p_max, y_norm2, model):
     return Lz, Lu
 
 
-def fc_lipschitz(weight_norms, tau, x_norm):
+def fc_lipschitz(weight_norms, x_norm):
     """Input and per-weight Lipschitz coefficients of a dense ReLU chain.
 
-    For T layers with spectral-norm caps ``weight_norms`` and a
-    ``tau``-Lipschitz activation: the input coefficient is
-    ``tau^(T-1) * prod(weight_norms)`` and weight t's coefficient is
-    ``tau^(T-t) * prod(other norms) * x_norm``.
+    For T layers with spectral-norm caps ``weight_norms`` and the
+    1-Lipschitz ReLU between them: the input coefficient is
+    ``prod(weight_norms)`` and weight t's coefficient is
+    ``prod(other norms) * x_norm``, for inputs of 2-norm at most ``x_norm``.
     """
     w = [float(v) for v in weight_norms]
-    T = len(w)
-    if T < 1:
+    if not w:
         raise ValueError("need at least one layer")
-    input_coeff = tau ** (T - 1) * math.prod(w, start=1.0)
-    weight_coeffs = []
-    for t in range(1, T + 1):
-        others = math.prod(w[:t - 1] + w[t:], start=1.0)
-        weight_coeffs.append(tau ** (T - t) * others * x_norm)
-    return input_coeff, weight_coeffs
+    weight_coeffs = [math.prod(w[:t] + w[t + 1:], start=1.0) * x_norm for t in range(len(w))]
+    return math.prod(w, start=1.0), weight_coeffs
 
 
 def _assemble(config, c1, c2, r1, r2, r3, kappa_prefactor):
@@ -242,7 +237,7 @@ def _chain(config, model, y_norm, exact=None):
             r2, r3 = config.p_max * Lu, (b.xi, config.p_max * H_MAX)
         else:  # learned correction
             # the correction subnetwork's input is a scale, of 2-norm <= sqrt(n) z_inf
-            wprod, weight_coeffs = fc_lipschitz(config.weight_bounds, 1.0, math.sqrt(config.n) * z_inf)
+            wprod, weight_coeffs = fc_lipschitz(config.weight_bounds, math.sqrt(config.n) * z_inf)
             r1 = 1.0 + config.delta * Lz + wprod
             r2, r3 = config.delta * Lu, (*weight_coeffs, b.xi)
         pref = z_inf * (c1 + pref_y)

@@ -23,7 +23,7 @@ block stack is joined once per call, and each solve stacks its covariances.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,11 +62,16 @@ class NetworkConfig:
     ``K`` outer layers each apply ``J`` scale updates. The covariance ball
     is the set of SPD matrices with spectrum inside ``[p_min, p_max]``,
     structured as a scaled identity for ``cgnet`` and tridiagonal for
-    ``drcgnet``. For ``cgnet`` the per-step parameters are (B, mu) with
-    ``||B||_2 <= p_max`` and ``|mu| <= mu_bound``. For ``drcgnet`` they are
-    the subnetwork weight matrices (layer ell maps n*f[ell-1] -> n*f[ell],
-    spectral norm at most w[ell-1]) followed by the step size delta.
-    Kernel sizes enter only the parameter-count bookkeeping.
+    ``drcgnet``.
+
+    ``block_specs`` is the one table of the block layout, set at
+    construction: the ``(shape, covering dimension, ball radius)`` of each
+    block d = 1 .. D of one scale update, the scalar block (shape ``()``)
+    last. cgnet: B (n x n and symmetric, so of dimension n(n+1)/2, radius
+    p_max), then mu (radius mu_bound). drcgnet: the subnetwork weight W_ell
+    (n f_ell x n f_(ell-1), a convolution of dimension f_(ell-1) f_ell
+    k_ell^2, spectral-norm radius w_ell) for ell = 1 .. Lc, then the step
+    size delta. Kernel sizes enter only the covering dimensions.
     """
 
     variant: str
@@ -82,6 +87,9 @@ class NetworkConfig:
     kernels: tuple = ()
     weight_bounds: tuple = ()
     delta: float = 0.0
+    # set in __post_init__, not a cached_property: that writes the instance
+    # __dict__, which makes every attribute read of the config slower
+    block_specs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -95,9 +103,11 @@ class NetworkConfig:
         object.__setattr__(self, "filters", tuple(int(f) for f in self.filters))
         object.__setattr__(self, "kernels", tuple(int(k) for k in self.kernels))
         object.__setattr__(self, "weight_bounds", tuple(float(w) for w in self.weight_bounds))
+        n = self.n
         if self.variant == "cgnet":
             if not 0 < self.mu_bound < math.inf:
                 raise ValueError("cgnet requires a positive finite mu_bound")
+            weights, scalar_radius = (((n, n), n * (n + 1) // 2, self.p_max),), self.mu_bound
         else:
             if self.Lc < 1:
                 raise ValueError("drcgnet requires Lc >= 1")
@@ -114,39 +124,20 @@ class NetworkConfig:
                 raise ValueError("weight_bounds must list Lc positive finite radii")
             if not 0 < self.delta < math.inf:
                 raise ValueError("drcgnet requires a positive finite delta")
+            f, k, w = self.filters, self.kernels, self.weight_bounds
+            weights = tuple(((n * f[ell], n * f[ell - 1]), f[ell - 1] * f[ell] * k[ell - 1] ** 2, w[ell - 1])
+                            for ell in range(1, self.Lc + 1))
+            scalar_radius = self.delta
+        object.__setattr__(self, "block_specs", weights + (((), 1, scalar_radius),))
 
     @property
     def D(self):
         """Number of parameter blocks per scale update."""
-        return 2 if self.variant == "cgnet" else self.Lc + 1
+        return len(self.block_specs)
 
     @property
     def cov_structure(self):
         return "scaled_identity" if self.variant == "cgnet" else "tridiagonal"
-
-    def weight_shape(self, ell):
-        """Dense shape of subnetwork layer ``ell`` (1-based)."""
-        return (self.n * self.filters[ell], self.n * self.filters[ell - 1])
-
-    def block_shapes(self):
-        """Per-step shape of each block, d = 1 .. D: ``()`` for the scalar block, the last."""
-        if self.variant == "cgnet":
-            return ((self.n, self.n), ())
-        return tuple(self.weight_shape(ell) for ell in range(1, self.Lc + 1)) + ((),)
-
-    def parameter_dims(self):
-        """Per-block (dimension, ball radius) pairs, d = 1 .. D."""
-        if self.variant == "cgnet":
-            return (
-                (self.n * (self.n + 1) // 2, self.p_max),
-                (1, self.mu_bound),
-            )
-        dims = [
-            (self.filters[d - 1] * self.filters[d] * self.kernels[d - 1] ** 2, self.weight_bounds[d - 1])
-            for d in range(1, self.Lc + 1)
-        ]
-        dims.append((1, self.delta))
-        return tuple(dims)
 
 
 @dataclass(frozen=True)
@@ -327,37 +318,38 @@ def sample_covariance(structure, n, p_min, p_max, rng):
 def _sample_blocks(config, rng):
     """Blocks inside their balls: Gaussian directions, uniform radius factors.
 
-    Every draw is made first, in block order; then one stacked ``eigvalsh``
+    Every draw is made first, in block order, with the shapes and radii of
+    ``config.block_specs``; then one stacked ``eigvalsh``
     (cgnet) or one stacked SVD per weight layer (drcgnet) sets the norms of
     all K*J steps, and one broadcast product rescales them. Returns the
     ``ParameterSet.blocks`` tuple: one ``(K, J, ...)`` stack per block index.
     """
     kj = config.K * config.J
+    *weights, (_, _, scalar_radius) = config.block_specs
+    scalars = []
     if config.variant == "cgnet":
-        n = config.n
-        radii, mats, mus = np.empty(kj), [], []
+        ((shape, _, radius),) = weights
+        radii, mats = np.empty(kj), []
         for i in range(kj):
-            radii[i] = config.p_max * rng.random()
-            G = rng.standard_normal((n, n))
-            mats.append(G @ G.T + 1e-3 * np.eye(n))
-            mus.append(rng.uniform(-config.mu_bound, config.mu_bound))
+            radii[i] = radius * rng.random()
+            G = rng.standard_normal(shape)
+            mats.append(G @ G.T + 1e-3 * np.eye(config.n))
+            scalars.append(rng.uniform(-scalar_radius, scalar_radius))
         S = np.array(mats)
-        blocks = (S * (radii / np.linalg.eigvalsh(S)[:, -1])[:, None, None], mus)
+        blocks = [S * (radii / np.linalg.eigvalsh(S)[:, -1])[:, None, None]]
     else:
-        Lc = config.Lc
-        mats, radii, deltas = [[] for _ in range(Lc)], np.empty((Lc, kj)), []
+        mats, radii = [[] for _ in weights], np.empty((len(weights), kj))
         for i in range(kj):
-            for ell in range(Lc):
-                mats[ell].append(rng.standard_normal(config.weight_shape(ell + 1)))
-                radii[ell, i] = config.weight_bounds[ell] * rng.random()
-            deltas.append(rng.uniform(-config.delta, config.delta))
+            for ell, (shape, _, radius) in enumerate(weights):
+                mats[ell].append(rng.standard_normal(shape))
+                radii[ell, i] = radius * rng.random()
+            scalars.append(rng.uniform(-scalar_radius, scalar_radius))
         blocks = []
-        for ell in range(Lc):
-            W = np.array(mats[ell])
+        for ms, r in zip(mats, radii):
+            W = np.array(ms)
             nrm = spectral_norm(W)
-            scale = np.divide(radii[ell], nrm, out=np.ones(kj), where=nrm > 0)
-            blocks.append(W * scale[:, None, None])
-        blocks.append(deltas)
+            blocks.append(W * np.divide(r, nrm, out=np.ones(kj), where=nrm > 0)[:, None, None])
+    blocks.append(scalars)
     return tuple(np.reshape(b, (config.K, config.J) + np.shape(b)[1:]) for b in blocks)
 
 
@@ -385,14 +377,14 @@ def validate_parameters(theta, config):
     """Check every block stack's shape and every block against its ball; raise on violation."""
     if theta.P.p_max > config.p_max * (1 + BALL_TOL) or theta.P.p_min < config.p_min * (1 - BALL_TOL):
         raise ValueError("covariance spectrum leaves [p_min, p_max]")
-    shapes = config.block_shapes()
-    if len(theta.blocks) != len(shapes):
-        raise ValueError(f"expected {len(shapes)} block stacks, got {len(theta.blocks)}")
-    for d, (b, shape) in enumerate(zip(theta.blocks, shapes), start=1):
+    specs = config.block_specs
+    if len(theta.blocks) != len(specs):
+        raise ValueError(f"expected {len(specs)} block stacks, got {len(theta.blocks)}")
+    for d, (b, (shape, _, _)) in enumerate(zip(theta.blocks, specs), start=1):
         if np.shape(b) != (config.K, config.J) + shape:
             raise ValueError(f"block {d} stack has shape {np.shape(b)}, "
                              f"expected {(config.K, config.J) + shape}")
-    radii = np.array([radius for _, radius in config.parameter_dims()])
+    radii = np.array([radius for _, _, radius in specs])
     outside = np.argwhere(~(_block_norms(theta.blocks) <= radii * (1 + BALL_TOL)))  # NaN is outside
     if outside.size:
         k, j, d = outside[0] + 1

@@ -153,14 +153,14 @@ def parameters_from_json(obj, config, path="params"):
     raw = obj["blocks"]
     if not isinstance(raw, list) or len(raw) != config.K:
         raise ConfigError(f"{path}.blocks: expected a {config.K} x {config.J} grid")
-    shapes = config.block_shapes()
+    shapes = [shape for shape, _, _ in config.block_specs]
     stacks = [[] for _ in shapes]
     for k, row in enumerate(raw, start=1):
         if not isinstance(row, list) or len(row) != config.J:
             raise ConfigError(f"{path}.blocks[{k}]: expected a list of {config.J} steps")
         for j, kj in enumerate(row, start=1):
-            if not isinstance(kj, list) or len(kj) != config.D:
-                raise ConfigError(f"{path}.blocks[{k}][{j}]: expected {config.D} parameter blocks")
+            if not isinstance(kj, list) or len(kj) != len(shapes):
+                raise ConfigError(f"{path}.blocks[{k}][{j}]: expected {len(shapes)} parameter blocks")
             for d, (b, shape) in enumerate(zip(kj, shapes), start=1):
                 name = f"{path}.blocks[{k}][{j}][{d}]"
                 x = _block_from_json(b, name)
@@ -183,11 +183,12 @@ def _section(cfg, name, required=True):
     return cfg[name]
 
 
-def _get(sec, key, path, kind=None, required=True, default=None):
-    """Field ``key`` of ``sec``, read as ``kind`` (see :func:`_typed`) when given."""
+def _get(sec, key, path, kind=None, default=None):
+    """Field ``key`` of ``sec``, read as ``kind`` (see :func:`_typed`) when given;
+    ``default`` when it is missing, a required field when ``default`` is None."""
     name = f"{path}.{key}" if path else key
     if key not in sec:
-        if required:
+        if default is None:
             raise ConfigError(f"{name}: missing required field")
         return default
     return sec[key] if kind is None else _typed(sec[key], kind, name)
@@ -199,15 +200,14 @@ def _parse_model(sec):
     for key, size in (("m", m), ("n", n)):
         if size < 1:
             raise ConfigError(f"model.{key}: must be >= 1, got {size}")
-    sigma = _get(sec, "sigma", "model", float, required=False, default=0.0)
+    sigma = _get(sec, "sigma", "model", float, default=0.0)
     mat = _get(sec, "matrix", "model")
     with np.errstate(over="ignore"):  # MeasurementModel screens the overflow, naming it
         if isinstance(mat, dict) and "generator" in mat:
             gen = mat["generator"]
-            scale = _get(mat, "scale", "model.matrix", float, required=False, default=1.0)
+            scale = _get(mat, "scale", "model.matrix", float, default=1.0)
             if gen == "gaussian":
-                rng = np.random.default_rng(
-                    _get(mat, "seed", "model.matrix", int, required=False, default=0))
+                rng = np.random.default_rng(_get(mat, "seed", "model.matrix", int, default=0))
                 A = scale * rng.standard_normal((m, n))
             elif gen == "ones":
                 A = scale * np.ones((m, n))
@@ -264,7 +264,7 @@ def _parse_covariance(sec, path):
     """
     sec = _typed(sec, dict, path)
     structure = _get(sec, "structure", path, str)
-    eps = _get(sec, "epsilon", path, float, required=False, default=1e-4)
+    eps = _get(sec, "epsilon", path, float, default=1e-4)
     if eps <= 0:
         raise ConfigError(f"{path}.epsilon: must be positive, got {eps}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, naming the field
@@ -320,16 +320,16 @@ def _parse_loss(sec, n, c_max):
 
 def sweep_specs(sweep_section):
     """``{axis: SweepSpec}`` of a sweep section, each field defaulted and checked."""
-    Ns = _get(sweep_section, "Ns", "sweep", int, required=False, default=10000)
+    Ns = _get(sweep_section, "Ns", "sweep", int, default=10000)
     _checked("sweep.Ns", _check_ns, Ns)
-    eps = _get(sweep_section, "eps_conf", "sweep", float, required=False, default=0.05)
+    eps = _get(sweep_section, "eps_conf", "sweep", float, default=0.05)
     _checked("sweep.eps_conf", _check_eps_conf, eps)
     defaults = {"n": (4, 8, 16, 32, 64), "kj": (4, 16, 64, 256, 1024, 4096),
                 "ns": (100, 1000, 10000, 100000, 1000000)}
     specs = {}
     for axis, default in defaults.items():
         key = f"{axis}_values"
-        values = _get(sweep_section, key, "sweep", list[float], required=False, default=default)
+        values = _get(sweep_section, key, "sweep", list[float], default=default)
         specs[axis] = _checked(f"sweep.{key}", SweepSpec, axis=axis, values=values, Ns=Ns, eps_conf=eps)
     return specs
 
@@ -340,16 +340,16 @@ class RunConfig:
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected a JSON object")
-        self.seed = _get(raw, "seed", "", int, required=False, default=0)
+        self.seed = _get(raw, "seed", "", int, default=0)
         self.model = _parse_model(_section(raw, "model"))
         self.bounds = _parse_bounds(_section(raw, "bounds", required=False))
         self.network = _parse_network(_section(raw, "network"), self.model.n, self.bounds)
         self.loss = _parse_loss(_section(raw, "loss"), self.model.n, self.bounds.c_max)
 
         geb = _section(raw, "geb", required=False) or {}
-        self.geb_Ns = _get(geb, "Ns", "geb", int, required=False, default=1000)
-        self.eps_conf = _get(geb, "eps_conf", "geb", float, required=False, default=0.05)
-        self.ymax_mode = _get(geb, "ymax_mode", "geb", str, required=False, default="noiseless")
+        self.geb_Ns = _get(geb, "Ns", "geb", int, default=1000)
+        self.eps_conf = _get(geb, "eps_conf", "geb", float, default=0.05)
+        self.ymax_mode = _get(geb, "ymax_mode", "geb", str, default="noiseless")
         _checked("geb.eps_conf", _check_eps_conf, self.eps_conf)
         _checked("geb.Ns", _check_ns, self.geb_Ns)
         if self.ymax_mode not in ("noiseless", "white_noise", "dataset"):
@@ -367,7 +367,7 @@ class RunConfig:
                 sigma_u=sigma_u,
                 bounds=self.bounds,
                 Ns=Ns,
-                seed=_get(ds, "seed", "dataset", int, required=False, default=self.seed),
+                seed=_get(ds, "seed", "dataset", int, default=self.seed),
             )
         if self.ymax_mode == "dataset" and self.dataset_spec is None:
             raise ConfigError("geb.ymax_mode=dataset requires a dataset section")
@@ -382,8 +382,8 @@ class RunConfig:
                 f"verify.targets: expected 'all' or a list of {sorted(TARGETS)}, got {targets!r}"
             )
         self.verify_targets = targets
-        self.verify_trials = _get(ver, "trials", "verify", int, required=False, default=10000)
-        self.verify_seed = _get(ver, "seed", "verify", int, required=False, default=self.seed)
+        self.verify_trials = _get(ver, "trials", "verify", int, default=10000)
+        self.verify_seed = _get(ver, "seed", "verify", int, default=self.seed)
         if self.verify_trials < 1:
             raise ConfigError("verify.trials: must be >= 1")
 
@@ -391,10 +391,10 @@ class RunConfig:
         self.sweeps = sweep_specs(sw) if sw else {}
 
         gap = _section(raw, "gap", required=False) or {}
-        self.gap_suite_size = _get(gap, "suite_size", "gap", int, required=False, default=20)
-        self.gap_Ns = _get(gap, "Ns", "gap", int, required=False, default=48)
-        self.gap_test_draws = _get(gap, "test_draws", "gap", int, required=False, default=2000)
-        self.gap_seed = _get(gap, "seed", "gap", int, required=False, default=self.seed)
+        self.gap_suite_size = _get(gap, "suite_size", "gap", int, default=20)
+        self.gap_Ns = _get(gap, "Ns", "gap", int, default=48)
+        self.gap_test_draws = _get(gap, "test_draws", "gap", int, default=2000)
+        self.gap_seed = _get(gap, "seed", "gap", int, default=self.seed)
         for key in ("suite_size", "Ns", "test_draws"):
             if getattr(self, f"gap_{key}") < 1:
                 raise ConfigError(f"gap.{key}: must be >= 1")

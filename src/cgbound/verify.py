@@ -319,7 +319,7 @@ def _trial_subnet_lipschitz(rng, dims):
     x1 = rng.standard_normal(W1[0].shape[1])
     x2 = rng.standard_normal(W1[0].shape[1])
     caps = [max(spectral_norm(a), spectral_norm(b)) for a, b in zip(W1, W2)]
-    ic, wc = fc_lipschitz(caps, 1.0, float(np.linalg.norm(x1)))
+    ic, wc = fc_lipschitz(caps, float(np.linalg.norm(x1)))
     lhs = float(np.linalg.norm(subnet_forward(W1, x1) - subnet_forward(W2, x2)))
     rhs = ic * float(np.linalg.norm(x1 - x2))
     for t, (a, b) in enumerate(zip(W1, W2)):

@@ -242,7 +242,7 @@ def step_constants_oracle(config, model, y_max):
         r1 = 1.0 + config.p_max * (Lz + config.mu_bound * TAU_H)
         return r1, config.p_max * Lu, (b.xi, config.p_max * H_MAX)
     x_norm = math.sqrt(config.n) * b.z_inf  # 2-norm bound of a scale
-    wprod, weight_coeffs = fc_lipschitz(config.weight_bounds, 1.0, x_norm)
+    wprod, weight_coeffs = fc_lipschitz(config.weight_bounds, x_norm)
     return 1.0 + config.delta * Lz + wprod, config.delta * Lu, (*weight_coeffs, b.xi)
 
 
@@ -295,13 +295,13 @@ def _entropy_ref(config, model, y_max):
     dim_p = dim_cov(config.cov_structure, config.n)
     term2_cov = math.sqrt(dim_p * _log_factor_ref(
         math.log(4.0 * config.p_max * kjd1 / c_max), cns["log_kappa"]))
-    dims = config.parameter_dims()
-    alphas = np.array([a for a, _ in dims], dtype=np.float64)
-    omegas = np.array([w for _, w in dims], dtype=np.float64)
+    specs = config.block_specs
+    alphas = np.array([a for _, a, _ in specs], dtype=np.float64)
+    omegas = np.array([w for _, _, w in specs], dtype=np.float64)
     log_coeffs = np.log(4.0 * omegas * kjd1 / c_max)
     factors = _log_factor_ref(log_coeffs[None, None, :], cns["log_kappa_kdj"])
     block_sums = np.sqrt(alphas[None, None, :] * factors).sum(axis=(0, 1))
-    is_scalar = np.array([shape == () for shape in config.block_shapes()])
+    is_scalar = np.array([shape == () for shape, _, _ in specs])
     sums = (term2_cov, float(block_sums[~is_scalar].sum()), float(block_sums[is_scalar].sum()))
     return cns, dim_p, alphas, omegas, kjd1, sums
 

@@ -230,9 +230,8 @@ class TestGebBound:
         cfg = _dr_config()
         loss = LossSpec.mae(4, 1.0)
         rep = geb_bound(cfg, model, loss, 400, 0.05, 0.0)
-        dims = cfg.parameter_dims()
         expected = (8 * loss.tau * 1.0 / math.sqrt(400)) * (
-            math.sqrt(dim_cov("tridiagonal", 4)) + sum(math.sqrt(a) for a, _ in dims)
+            math.sqrt(dim_cov("tridiagonal", 4)) + sum(math.sqrt(a) for _, a, _ in cfg.block_specs)
         )
         assert rep.term2 == pytest.approx(expected, rel=1e-12)
 
@@ -357,7 +356,7 @@ class TestBlockSplit:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_dimension_one_matrix_block_counts_as_weights(self, name):
         config = self.CONFIGS[name]
-        assert [a for a, _ in config.parameter_dims()] == [1, 1]
+        assert [a for _, a, _ in config.block_specs] == [1, 1]
         model = MeasurementModel(FROZEN_A[:, :config.n])
         loss = LossSpec.mae(config.n, 1.0)
         rep = geb_bound(config, model, loss, 1000, 0.05, 2.0)
@@ -365,7 +364,7 @@ class TestBlockSplit:
         scale = 8.0 * loss.tau / math.sqrt(1000)
         want = [scale * sum(math.sqrt(1.0 + math.log1p(4.0 * w * kjd1 * kap))
                             for kap in rep.constants.kappa_kdj[:, :, d].ravel())
-                for d, (_, w) in enumerate(config.parameter_dims())]
+                for d, (_, _, w) in enumerate(config.block_specs)]
         assert rep.term2_weights == pytest.approx(want[0], rel=1e-12)
         assert rep.term2_scalars == pytest.approx(want[1], rel=1e-12)
 

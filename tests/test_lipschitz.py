@@ -186,15 +186,15 @@ class TestDatafitConstants:
 
 class TestFcLipschitz:
     def test_single_layer(self):
-        ic, wc = fc_lipschitz((2.5,), 1.0, 3.0)
+        ic, wc = fc_lipschitz((2.5,), 3.0)
         assert ic == 2.5 and wc == [3.0]
 
     def test_zero_cap_kills_input_coeff(self):
-        ic, _ = fc_lipschitz((2.0, 0.0), 1.0, 1.0)
+        ic, _ = fc_lipschitz((2.0, 0.0), 1.0)
         assert ic == 0.0
 
     def test_two_layer_values(self):
-        ic, wc = fc_lipschitz((2.0, 3.0), 1.0, 1.0)
+        ic, wc = fc_lipschitz((2.0, 3.0), 1.0)
         assert ic == pytest.approx(6.0)
         assert wc == pytest.approx([3.0, 2.0])
 
@@ -332,13 +332,13 @@ class TestLogDomainStorage:
             T = int(rng.integers(1, 5))
             w = rng.uniform(0.0, 3.0, size=T)
             w[rng.random(T) < 0.2] = 0.0
-            tau, x_norm = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 5.0))
-            ic, wc = fc_lipschitz(tuple(w), tau, x_norm)
+            x_norm = float(rng.uniform(0.0, 5.0))
+            ic, wc = fc_lipschitz(tuple(w), x_norm)
             ws = [float(v) for v in w]
-            assert _bits(ic) == _bits(tau ** (T - 1) * float(np.prod(ws)))
+            assert _bits(ic) == _bits(float(np.prod(ws)))
             for t in range(1, T + 1):
                 others = float(np.prod([ws[i] for i in range(T) if i != t - 1]))
-                assert _bits(wc[t - 1]) == _bits(tau ** (T - t) * others * x_norm)
+                assert _bits(wc[t - 1]) == _bits(others * x_norm)
 
     @pytest.mark.parametrize("v", [0.0, -0.0, -math.inf, 1e300, -1e300])
     def test_single_value_logsumexp_equals_general_formula(self, v):

@@ -1,6 +1,7 @@
 """Unrolled forward passes, scale updates, and parameter sampling."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -252,6 +253,8 @@ class TestForward:
         for bad in (np.zeros((3, 5)), np.zeros((2, 3, 4)), np.zeros(())):
             with pytest.raises(ValueError, match="y must have shape"):
                 forward(bad, theta, config, model)
+        with pytest.raises(ValueError, match="^config.n and model.n disagree$"):
+            forward(np.zeros(4), theta, config, _model(rng, n=6))
 
     @pytest.mark.filterwarnings("error")
     def test_numerical_failure_names_row(self):
@@ -467,6 +470,28 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match=field):
             replace(make(), **{field: value})
 
+    @pytest.mark.parametrize("make, fields, message", [
+        (_cg_config, {"variant": "gcnet"}, "unknown variant 'gcnet'"),
+        (_cg_config, {"n": 0}, "n must be >= 1"),
+        (_dr_config, {"Lc": 0, "filters": (1,), "kernels": (), "weight_bounds": ()},
+         "drcgnet requires Lc >= 1"),
+        (_dr_config, {"filters": (1, 1, 1)}, "filters must list f_0 .. f_Lc"),
+        (lambda: _dr_config(Lc=2), {"filters": (1, 0, 1)}, "filter counts must be positive"),
+        (_dr_config, {"kernels": (3, 3)}, "kernels must list Lc positive kernel sizes"),
+        (_dr_config, {"kernels": (0,)}, "kernels must list Lc positive kernel sizes"),
+    ], ids=["unknown_variant", "n_zero", "Lc_zero", "filters_length", "filter_count_zero",
+            "kernels_length", "kernel_zero"])
+    def test_rejects_a_bad_layout(self, make, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(make(), **fields)
+
+    def test_block_specs(self):
+        cg = _cg_config(n=3)
+        assert cg.block_specs == (((3, 3), 6, 2.0), ((), 1, 1.0))
+        dr = replace(_dr_config(n=4, Lc=2), kernels=(3, 5), weight_bounds=(0.9, 0.7))
+        assert dr.block_specs == (((8, 4), 18, 0.9), ((4, 8), 50, 0.7), ((), 1, 0.5))
+        assert (cg.D, dr.D) == (2, 3)
+
 
 class TestGcgls:
     """The forward pass against the alternating least-squares oracle."""
@@ -533,13 +558,13 @@ class TestSampling:
                 validate_parameters(replace(theta, blocks=(blocks[0].swapaxes(0, 1), *blocks[1:])), config)
             with pytest.raises(ValueError, match=f"block {config.D} stack has shape \\(2, 3, 1\\)"):
                 validate_parameters(replace(theta, blocks=(*blocks[:-1], blocks[-1][..., None])), config)
-            for value in (1.01 * config.parameter_dims()[-1][1], math.nan):
+            for value in (1.01 * config.block_specs[-1][2], math.nan):
                 far = blocks[-1].copy()
                 far[1, 2] = value
                 with pytest.raises(ValueError, match=f"block {config.D} at layer 2 step 3 leaves its ball"):
                     validate_parameters(replace(theta, blocks=(*blocks[:-1], far)), config)
             wide = blocks[0].copy()
-            wide[0, 1] *= 1.01 * config.parameter_dims()[0][1] / spectral_norm(wide[0, 1])
+            wide[0, 1] *= 1.01 * config.block_specs[0][2] / spectral_norm(wide[0, 1])
             with pytest.raises(ValueError, match="block 1 at layer 1 step 2 leaves its ball"):
                 validate_parameters(replace(theta, blocks=(wide, *blocks[1:])), config)
             for lam in (0.99 * config.p_min, 1.01 * config.p_max):

@@ -258,11 +258,12 @@ class TestRunConfig:
          "dataset.sigma_u.L"),
         ("dataset.sigma_u", {"structure": "diagonal", "lam_vec": [1e308] * 8},
          "dataset.sigma_u.lam_vec"),
+        ("network.variant", "gcnet", "network.variant"),
     ], ids=["K_fraction", "K_text", "geb_Ns_fraction", "trials_fraction", "seed_fraction",
             "filters_fraction", "p_max_text", "delta_nan", "weight_bounds_inf", "p_max_inf",
             "xi_nan", "sigma_u_lam_nan", "sigma_u_lam2_length", "sigma_u_L_shape",
             "model_m_negative", "model_n_zero", "sigma_u_tridiagonal_overflow",
-            "sigma_u_full_overflow", "sigma_u_diagonal_overflow"])
+            "sigma_u_full_overflow", "sigma_u_diagonal_overflow", "unknown_variant"])
     def test_strict_reads_name_their_field(self, tmp_path, capsys, where, value, field):
         cfg = _small_config()
         *sections, key = where.split(".")
@@ -276,6 +277,48 @@ class TestRunConfig:
         path.write_text(json.dumps(cfg))
         assert main(["bound", "--config", str(path)]) == 1
         assert f"configuration error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, value, message", [
+        ("model.matrix", [[1.0, 0.0], [0.0, 1.0]],
+         "model.matrix: expected an object with 'shape' and 'data'"),
+        ("geb", [], "geb: expected an object"),
+        ("model.matrix.generator", "uniform", "model.matrix.generator: unknown generator 'uniform'"),
+        ("model.matrix", {"shape": [2, 2], "data": [1.0, 0.0, 0.0, 1.0]},
+         "model.matrix: shape (2, 2) does not match (m, n) = (4, 8)"),
+        ("dataset.sigma_u", {"structure": "scaled_identity", "lam": 1.0, "n": 8, "epsilon": 0.0},
+         "dataset.sigma_u.epsilon: must be positive, got 0.0"),
+        ("dataset.sigma_u", {"structure": "scaled_identity", "lam": 1.0, "n": 0},
+         "dataset.sigma_u.n: must be >= 1, got 0"),
+        ("dataset.sigma_u", {"structure": "diagonal", "lam_vec": []},
+         "dataset.sigma_u.lam_vec: expected a nonempty list"),
+        ("dataset.sigma_u", {"structure": "tridiagonal", "lam1": [], "lam2": []},
+         "dataset.sigma_u.lam1: expected a nonempty list"),
+        ("dataset.sigma_u", {"structure": "banded"},
+         "dataset.sigma_u.structure: unknown structure 'banded'"),
+        ("loss.name", "mse", "loss.name: unknown loss 'mse'"),
+        ("", [], "top level: expected a JSON object"),
+        ("geb.ymax_mode", "max", "geb.ymax_mode: unknown mode 'max'"),
+        ("verify.trials", 0, "verify.trials: must be >= 1"),
+    ], ids=["matrix_not_an_object", "section_not_an_object", "unknown_generator",
+            "matrix_shape", "sigma_u_epsilon", "sigma_u_n", "sigma_u_lam_vec", "sigma_u_lam1",
+            "sigma_u_structure", "unknown_loss", "top_level_not_an_object", "unknown_ymax_mode",
+            "verify_trials_zero"])
+    def test_config_checks_name_their_path(self, tmp_path, capsys, where, value, message):
+        cfg = _small_config()
+        *sections, key = where.split(".")
+        target = cfg
+        for name in sections:
+            target = target.setdefault(name, {})
+        if key:
+            target[key] = value
+        else:
+            cfg = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_run_config(str(path))
+        assert main(["bound", "--config", str(path)]) == 1
+        assert f"configuration error: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("targets", ["gram_diff", ["gram_diff", "no_such_target"], [["gram_diff"]]])
     def test_verify_targets_validated(self, tmp_path, capsys, targets):
@@ -740,6 +783,22 @@ class TestParameterSerialization:
         with pytest.raises(ConfigError, match="blocks"):
             parameters_from_json(payload, cfg)
 
+    @pytest.mark.parametrize("payload", [[], "theta", {"P": {"shape": [1], "data": [1.0]}}],
+                             ids=["list", "text", "no_blocks"])
+    def test_rejects_a_non_object(self, tmp_path, capsys, payload):
+        from cgbound.serialize import parameters_from_json
+
+        raw = _small_config()
+        message = "params: expected an object with 'P' and 'blocks'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parameters_from_json(payload, load_run_config(raw).network)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        params_path = tmp_path / "theta.json"
+        params_path.write_text(json.dumps(payload))
+        assert main(["solve", "--config", str(cfg_path), "--params", str(params_path)]) == 1
+        assert f"configuration error: {message}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where, value, field", [
         ((0, 0, 1), [0.1], "params.blocks[1][1][2]"),
         ((0, 0, 1), None, "params.blocks[1][1][2]"),
@@ -747,8 +806,9 @@ class TestParameterSerialization:
         ((0, 0, 1), "0.1", "params.blocks[1][1][2]"),
         ((0, 0, 1), math.nan, "params.blocks[1][1][2]"),
         ((0, 0, 0), {"shape": [2, 4], "data": [0.1] * 8}, "params.blocks[1][1][1]"),
+        ((0, 0), [0.1], "params.blocks[1][1]"),
     ], ids=["list_for_scalar", "null_for_scalar", "int_for_row", "text_for_scalar",
-            "nan_for_scalar", "wrong_weight_shape"])
+            "nan_for_scalar", "wrong_weight_dims", "one_block_in_a_step"])
     def test_malformed_blocks_name_their_path(self, tmp_path, capsys, where, value, field):
         from cgbound.networks import sample_parameters
         from cgbound.serialize import parameters_from_json, parameters_to_json

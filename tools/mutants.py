@@ -137,6 +137,18 @@ MUTANTS = [
          "tests/test_networks.py::TestSampling::test_parameter_distance_matches_single_block_norms"],
     ),
     Mutant(
+        "block_specs_drcgnet_shape_transposed", "networks.py",
+        "((n * f[ell], n * f[ell - 1]), ",
+        "((n * f[ell - 1], n * f[ell]), ",
+        ["tests/test_networks.py::TestNetworkConfig::test_block_specs"],
+    ),
+    Mutant(
+        "block_specs_cgnet_dimension_n_squared", "networks.py",
+        "(((n, n), n * (n + 1) // 2, self.p_max),)",
+        "(((n, n), n * n, self.p_max),)",
+        ["tests/test_networks.py::TestNetworkConfig::test_block_specs"],
+    ),
+    Mutant(
         "theta_sum_numpy_reduction", "verify.py",
         """    for c, x in zip(coeffs.ravel().tolist(), dist.ravel().tolist(), strict=True):
         total += c * x
@@ -168,7 +180,7 @@ MUTANTS = [
         "                if np.shape(x) != shape:\n",
         "                if False:\n",
         ["tests/test_serialize_cli.py::TestParameterSerialization::"
-         "test_malformed_blocks_name_their_path[wrong_weight_shape]"],
+         "test_malformed_blocks_name_their_path[wrong_weight_dims]"],
     ),
     # float-path bound assembly
     Mutant(
@@ -260,8 +272,8 @@ MUTANTS = [
     ),
     Mutant(
         "fc_lipschitz_reversed_product", "lipschitz.py",
-        "input_coeff = tau ** (T - 1) * math.prod(w, start=1.0)",
-        "input_coeff = tau ** (T - 1) * math.prod(w[::-1], start=1.0)",
+        "return math.prod(w, start=1.0), weight_coeffs",
+        "return math.prod(w[::-1], start=1.0), weight_coeffs",
         ["tests/test_lipschitz.py::TestLogDomainStorage"],
     ),
     Mutant(
@@ -272,7 +284,7 @@ MUTANTS = [
     ),
     Mutant(
         "matrix_seed_bare_int", "serialize.py",
-        '_get(mat, "seed", "model.matrix", int, required=False, default=0)',
+        '_get(mat, "seed", "model.matrix", int, default=0)',
         'int(mat.get("seed", 0))',
         ["tests/test_serialize_cli.py::TestRunConfig::test_matrix_generator_fields_are_checked"],
     ),
@@ -459,8 +471,8 @@ MUTANTS = [
     ),
     Mutant(
         "drcgnet_fc_input_norm_without_sqrt_n", "lipschitz.py",
-        "fc_lipschitz(config.weight_bounds, 1.0, math.sqrt(config.n) * z_inf)",
-        "fc_lipschitz(config.weight_bounds, 1.0, z_inf)",
+        "fc_lipschitz(config.weight_bounds, math.sqrt(config.n) * z_inf)",
+        "fc_lipschitz(config.weight_bounds, z_inf)",
         ["tests/test_lipschitz.py::TestStepConstants::test_block_coefficients",
          "tests/test_bounds.py::TestReferenceAssembly::test_network_constants"],
     ),
