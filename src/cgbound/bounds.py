@@ -79,13 +79,8 @@ class LossSpec:
         return cls(tau=1.0 / math.sqrt(n), c=c_max / math.sqrt(n), name="mae")
 
     @classmethod
-    def ssim(cls, tau=None):
+    def ssim(cls, tau):
         """Structural-similarity loss; its Lipschitz constant must be supplied."""
-        if tau is None:
-            raise ValueError(
-                "the structural-similarity loss needs an explicit tau; "
-                "no default is provided"
-            )
         return cls(tau=float(tau), c=2.0, name="ssim")
 
 

@@ -67,9 +67,6 @@ class CgDataset:
     def __len__(self):
         return self.Y.shape[0]
 
-    def pairs(self):
-        return list(zip(self.Y, self.C))
-
 
 def generate_cg_dataset(spec):
     """Draw ``Ns`` (measurement, signal) pairs, deterministically in the seed.
@@ -134,7 +131,8 @@ def empirical_gap(theta, config, loss, train_spec, test_draws, seed):
     The hypothesis is the network frozen at ``theta``. The population loss
     is approximated with ``test_draws`` fresh samples (their standard error
     is reported so the comparison stays honest); the bound is evaluated at
-    the training measurement radius. Only the mean-absolute-error loss has
+    the training measurement radius, with ``eps_conf = 0.05`` whatever a run
+    config's ``geb.eps_conf`` holds. Only the mean-absolute-error loss has
     an in-package implementation.
     """
     if loss.name != "mae":

@@ -40,8 +40,6 @@ TAU_H = 1.0
 
 
 def _safe_log(x):
-    if x < 0:
-        raise ValueError(f"expected a nonnegative value, got {x}")
     return -math.inf if x == 0.0 else math.log(x)
 
 
@@ -50,8 +48,6 @@ def _logsumexp(values):
     if values.size == 1:  # the exp/log round trip below returns v + 0.0 exactly
         return float(values[0] + 0.0)
     hi = np.maximum.reduce(values)
-    if hi == -math.inf:
-        return -math.inf
     return float(hi + np.log(np.add.reduce(np.exp(values - hi))))
 
 

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 VARIANTS = ("cgnet", "drcgnet")
-BALL_TOL = 1e-9  # relative slack of validate_parameters' ball and spectrum checks
+BALL_TOL = 1e-9  # relative slack of validate_parameters' ball, spectrum and structure checks
 
 
 @dataclass(frozen=True)
@@ -374,9 +374,22 @@ def _block_norms(blocks):
 
 
 def validate_parameters(theta, config):
-    """Check every block stack's shape and every block against its ball; raise on violation."""
+    """Check the covariance and every block stack against their balls; raise on violation.
+
+    The covariance needs its spectrum in ``[p_min, p_max]``, then the
+    structure ``config.cov_structure``: each entry of ``P - P[0, 0] I``
+    (cgnet) or outside the three middle diagonals (drcgnet) at most
+    ``BALL_TOL * ||P||_2`` in absolute value.
+    """
     if theta.P.p_max > config.p_max * (1 + BALL_TOL) or theta.P.p_min < config.p_min * (1 - BALL_TOL):
         raise ValueError("covariance spectrum leaves [p_min, p_max]")
+    P = theta.P.P
+    if config.variant == "cgnet":
+        off = P - P[0, 0] * np.eye(config.n)
+    else:
+        off = P - np.triu(np.tril(P, 1), -1)
+    if np.max(np.abs(off)) > BALL_TOL * theta.P.p_max:
+        raise ValueError(f"covariance is not {config.cov_structure}")
     specs = config.block_specs
     if len(theta.blocks) != len(specs):
         raise ValueError(f"expected {len(specs)} block stacks, got {len(theta.blocks)}")

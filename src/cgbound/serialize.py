@@ -40,6 +40,7 @@ is written as ``null``, and ``dumps_canonical`` refuses any other.
 
 import json
 import numbers
+import os
 import sys
 import types
 
@@ -401,15 +402,18 @@ class RunConfig:
 
 
 def load_run_config(source):
-    """Parse a run configuration from a path, JSON string, or dict."""
-    if isinstance(source, dict):
-        return RunConfig(source)
-    text = source
-    if not str(source).lstrip().startswith("{"):
+    """Parse a run configuration from a JSON file or from its parsed value.
+
+    A ``str`` or ``os.PathLike`` source is the path of a JSON file; a missing
+    file raises ``FileNotFoundError`` and text that is not JSON a
+    ``ConfigError``. Any other source is the parsed config itself, and one
+    that is not a dict raises ``ConfigError("top level: expected a JSON
+    object")``, as a file holding a non-object does.
+    """
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return RunConfig(raw)
+            try:
+                source = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not valid JSON: {exc}") from None
+    return RunConfig(source)

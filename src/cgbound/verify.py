@@ -299,9 +299,9 @@ def _trial_forward_pair(rng, dims):
     return {"scale_chain": chain, "network_lipschitz": network}
 
 
-def _sample_stack(rng, max_width=10):
+def _sample_stack(rng):
     T = int(rng.integers(1, 4))
-    widths = [int(rng.integers(2, max_width + 1)) for _ in range(T + 1)]
+    widths = [int(rng.integers(2, 11)) for _ in range(T + 1)]
     return [rng.standard_normal((widths[t + 1], widths[t])) for t in range(T)]
 
 

@@ -67,6 +67,10 @@ class TestDimCov:
         with pytest.raises(ValueError):
             dim_cov("toeplitz", 4)
 
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            dim_cov("diagonal", 0)
+
 
 class TestCoveringLogBound:
     def test_zero_dimension(self):
@@ -130,6 +134,8 @@ class TestDudley:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             dudley_closed_form(0.0, 1.0)
+        with pytest.raises(ValueError, match="^nu must be nonnegative$"):
+            dudley_closed_form(1.0, -1.0)
         with pytest.raises(ValueError):
             dudley_integral_quad(1.0, -1.0)
 
@@ -168,6 +174,10 @@ class TestYmax:
             ymax_estimate(self.MODEL, 1.0, "dataset", dataset=[])
         with pytest.raises(ValueError, match="stack"):
             ymax_estimate(self.MODEL, 1.0, "dataset", dataset=np.array([3.0, 4.0]))
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            ymax_estimate(self.MODEL, 1.0, "bogus")
 
 
 def _cg_config(n=4, K=1, J=1):
@@ -429,7 +439,7 @@ class TestLossSpec:
             LossSpec(tau=tau, c=c, name="mae")
 
     def test_ssim_requires_tau(self):
-        with pytest.raises(ValueError, match="tau"):
+        with pytest.raises(TypeError, match="tau"):
             LossSpec.ssim()
         assert LossSpec.ssim(0.7).c == 2.0
 

@@ -67,6 +67,16 @@ class TestGenerate:
         with pytest.raises(ValueError, match="Ns must be a finite integer"):
             empirical_gap(theta, _config(), LossSpec.mae(6, 1.0), _spec(Ns=8), test_draws=2.5, seed=1)
 
+    def test_rejects_a_mismatched_signal_covariance(self):
+        spec = _spec()
+        with pytest.raises(ValueError, match="^sigma_u must be n x n$"):
+            CgDataSpec(model=spec.model, sigma_u=SpdMatrix(0.5 * np.eye(7)), bounds=BOUNDS, Ns=8, seed=1)
+
+    def test_gap_rejects_zero_test_draws(self):
+        theta = sample_parameters(_config(), 6)
+        with pytest.raises(ValueError, match="^test_draws must be >= 1$"):
+            empirical_gap(theta, _config(), LossSpec.mae(6, 1.0), _spec(Ns=8), test_draws=0, seed=1)
+
     def test_integral_float_size_is_stored_as_int(self):
         spec = _spec(Ns=48.0)
         assert type(spec.Ns) is int and spec.Ns == 48
@@ -74,9 +84,7 @@ class TestGenerate:
 
     def test_pairs_view(self):
         data = generate_cg_dataset(_spec(Ns=5))
-        pairs = data.pairs()
-        assert len(pairs) == 5 and len(data) == 5
-        np.testing.assert_array_equal(pairs[0][0], data.Y[0])
+        assert len(data) == 5 and data.Y.shape[0] == data.C.shape[0] == 5
 
 
 class TestMaeLoss:

@@ -198,6 +198,10 @@ class TestFcLipschitz:
         assert ic == pytest.approx(6.0)
         assert wc == pytest.approx([3.0, 2.0])
 
+    def test_rejects_no_layers(self):
+        with pytest.raises(ValueError, match="^need at least one layer$"):
+            fc_lipschitz([], 1.0)
+
 
 def _cg_config(n=3, K=2, J=2, bounds=None):
     return NetworkConfig(

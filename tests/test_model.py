@@ -160,6 +160,10 @@ class TestSpdMatrix:
         with pytest.raises(ValueError, match="positive definite"):
             SpdMatrix(np.diag([1.0, -0.1]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"^P must be square, got shape \(2, 3\)$"):
+            SpdMatrix(np.ones((2, 3)))
+
 
 class TestSignalBounds:
     def test_default_interval(self):

@@ -15,6 +15,7 @@ from cgbound.model import (
     MeasurementModel,
     NumericalFailure,
     SignalBounds,
+    SpdMatrix,
     ball_project,
     mrelu,
     spectral_norm,
@@ -548,6 +549,10 @@ class TestSampling:
                 off = np.triu(np.abs(P.P), k=2)
                 assert np.max(off) < 1e-12
 
+    def test_rejects_an_unknown_covariance_structure(self):
+        with pytest.raises(ValueError, match="^unknown covariance structure 'toeplitz'$"):
+            sample_covariance("toeplitz", 4, 0.5, 2.0, np.random.default_rng(0))
+
     def test_validation_rejects_each_violation(self):
         for config in (_cg_config(K=2, J=3), _dr_config(K=2, J=3, Lc=2)):
             theta = sample_parameters(config, 11)
@@ -571,6 +576,17 @@ class TestSampling:
                 P = sample_covariance("scaled_identity", config.n, lam, lam, np.random.default_rng(1))
                 with pytest.raises(ValueError, match=r"covariance spectrum leaves \[p_min, p_max\]"):
                     validate_parameters(replace(theta, P=P), config)
+
+    @pytest.mark.parametrize("variant, structure", [("cgnet", "diagonal"), ("drcgnet", "full")])
+    def test_validation_rejects_an_unstructured_covariance(self, variant, structure):
+        config = _cg_config() if variant == "cgnet" else _dr_config()
+        theta = sample_parameters(config, 11)
+        near = theta.P.P.copy()
+        near[0, -1] = near[-1, 0] = 1e-12  # inside the BALL_TOL slack
+        validate_parameters(replace(theta, P=SpdMatrix(near)), config)
+        P = sample_covariance(structure, config.n, config.p_min, config.p_max, np.random.default_rng(2))
+        with pytest.raises(ValueError, match=f"^covariance is not {config.cov_structure}$"):
+            validate_parameters(replace(theta, P=P), config)
 
     def test_parameter_distance_matches_single_block_norms(self):
         for config in (_cg_config(K=2, J=3), _dr_config(K=3, J=1, Lc=2)):

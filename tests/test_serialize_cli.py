@@ -380,18 +380,43 @@ class TestRunConfig:
                 load_run_config(cfg)
 
     def test_json_string_and_file_sources(self, tmp_path):
-        text = json.dumps(_small_config())
-        assert load_run_config(text).model.n == 8
         path = tmp_path / "cfg.json"
-        path.write_text(text)
+        path.write_text(json.dumps(_small_config()))
         assert load_run_config(str(path)).model.n == 8
+        assert load_run_config(path).model.n == 8
 
-    def test_invalid_json_rejected(self):
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_run_config("{broken")
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{broken")
+        with pytest.raises(ConfigError, match="^config is not valid JSON: "):
+            load_run_config(str(path))
+
+    def test_non_object_source_and_file_raise_the_same_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        for source in ([1, 2], str(path)):
+            with pytest.raises(ConfigError, match="^top level: expected a JSON object$"):
+                load_run_config(source)
+
+    def test_missing_path_is_not_found(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        with pytest.raises(FileNotFoundError):
+            load_run_config(path)
+        assert main(["bound", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
 
 class TestCli:
+    def test_solve_without_y_needs_a_dataset(self, tmp_path, capsys):
+        cfg = _small_config()
+        del cfg["dataset"]
+        cfg["geb"]["ymax_mode"] = "noiseless"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: no --y given and the config has no dataset section to draw from\n")
+
     def test_verify_pass_exit_zero(self, capsys):
         rc = main(["verify", "--target", "gram_diff", "--trials", "100", "--seed", "4"])
         assert rc == 0
@@ -829,6 +854,27 @@ class TestParameterSerialization:
         params_path.write_text(json.dumps(payload))
         assert main(["solve", "--config", str(cfg_path), "--params", str(params_path)]) == 1
         assert f"configuration error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant, structure", [("cgnet", "diagonal"), ("drcgnet", "full")])
+    def test_rejects_an_unstructured_covariance(self, tmp_path, capsys, variant, structure):
+        from cgbound.networks import sample_covariance, sample_parameters
+        from cgbound.serialize import parameters_from_json, parameters_to_json
+
+        raw = _cgnet_config() if variant == "cgnet" else _small_config()
+        cfg = load_run_config(raw).network
+        P = sample_covariance(structure, cfg.n, cfg.p_min, cfg.p_max, np.random.default_rng(2))
+        payload = parameters_to_json(sample_parameters(cfg, 77))
+        payload["P"] = array_to_json(P.P)
+        message = f"params: covariance is not {cfg.cov_structure}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parameters_from_json(payload, cfg)
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        params_path = tmp_path / "theta.json"
+        params_path.write_text(json.dumps(payload))
+        assert main(["solve", "--config", str(cfg_path), "--params", str(params_path)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_cli_accepts_explicit_params(self, tmp_path, capsys):
         from cgbound.networks import sample_parameters

@@ -176,6 +176,26 @@ MUTANTS = [
         ["tests/test_networks.py::TestSampling::test_validation_rejects_each_violation"],
     ),
     Mutant(
+        "validate_covariance_structure_dropped", "networks.py",
+        '    if np.max(np.abs(off)) > BALL_TOL * theta.P.p_max:\n'
+        '        raise ValueError(f"covariance is not {config.cov_structure}")\n',
+        "",
+        ["tests/test_networks.py::TestSampling::test_validation_rejects_an_unstructured_covariance",
+         "tests/test_serialize_cli.py::TestParameterSerialization::test_rejects_an_unstructured_covariance"],
+    ),
+    Mutant(
+        "validate_covariance_structure_without_slack", "networks.py",
+        "if np.max(np.abs(off)) > BALL_TOL * theta.P.p_max:",
+        "if np.max(np.abs(off)) > 0.0:",
+        ["tests/test_networks.py::TestSampling::test_validation_rejects_an_unstructured_covariance"],
+    ),
+    Mutant(
+        "load_run_config_opens_any_non_dict", "serialize.py",
+        "if isinstance(source, (str, os.PathLike)):",
+        "if not isinstance(source, dict):",
+        ["tests/test_serialize_cli.py::TestRunConfig::test_non_object_source_and_file_raise_the_same_error"],
+    ),
+    Mutant(
         "from_json_shape_check_dropped", "serialize.py",
         "                if np.shape(x) != shape:\n",
         "                if False:\n",
