@@ -92,15 +92,7 @@ def _clip_datafit(g, A, u, z, y, xi):
 
 
 def _cgnet_step(z, u, y, A, B, mu, a, b, xi):
-    g = _datafit_grad(A, u, z, y)
-    mu = np.asarray(mu)
-    on = mu != 0.0
-    if on.all():
-        g = g + mu[..., None] * (np.log(z) / z)
-    elif on.any():
-        # the log term only where mu is nonzero, as in the 1-D call
-        g = g.copy()
-        g[on] += mu[on, None] * (np.log(z[on]) / z[on])
+    g = _datafit_grad(A, u, z, y) + np.asarray(mu)[..., None] * (np.log(z) / z)
     return _mrelu(z - _matvec(B, _clip_datafit(g, A, u, z, y, xi)), a, b)
 
 

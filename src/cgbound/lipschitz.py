@@ -32,9 +32,10 @@ __all__ = [
     "fc_lipschitz",
 ]
 
-# Extrema of the exp-scale regularizer derivatives over the clamp interval
-# [1, e^3]: max of log(z)/z is 1/e (at z = e), and max of its derivative
-# magnitude bound (1 - log z)/z^2 is 1 (at z = 1).
+# Extrema of the exp-scale regularizer derivatives over [1, inf), which holds
+# every cgnet scale since NetworkConfig requires 1 <= a <= z_inf: max of
+# |log(z)/z| is 1/e (at z = e), and max of its derivative's magnitude
+# |(1 - log z)/z^2| is 1 (at z = 1).
 H_MAX = math.exp(-1.0)
 TAU_H = 1.0
 

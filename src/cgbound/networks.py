@@ -23,6 +23,7 @@ block stack is joined once per call, and each solve stacks its covariances.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,11 @@ VARIANTS = ("cgnet", "drcgnet")
 BALL_TOL = 1e-9  # relative slack of validate_parameters' ball, spectrum and structure checks
 
 
+def _is_size(v):
+    """True for an integer that is not a bool (numpy integers included)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture, admissible-region radii, and parameter-ball radii.
@@ -72,6 +78,13 @@ class NetworkConfig:
     (n f_ell x n f_(ell-1), a convolution of dimension f_(ell-1) f_ell
     k_ell^2, spectral-norm radius w_ell) for ell = 1 .. Lc, then the step
     size delta. Kernel sizes enter only the covering dimensions.
+
+    The sizes ``n``, ``K``, ``J``, ``Lc`` and each filter count and kernel
+    size are integers, not bools. cgnet requires ``1 <= bounds.a <=
+    bounds.z_inf``: every scale iterate then lies in ``[a, z_inf]``, inside
+    ``[1, inf)``, where ``|log(z)/z| <= 1/e`` and ``|(1 - log z)/z^2| <= 1``,
+    the constants ``H_MAX`` and ``TAU_H`` of the step's Lipschitz bounds.
+    drcgnet does not read ``a``.
     """
 
     variant: str
@@ -94,6 +107,12 @@ class NetworkConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name in ("n", "K", "J", "Lc"):
+            if not _is_size(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("filters", "kernels"):
+            if not all(map(_is_size, getattr(self, name))):
+                raise ValueError(f"{name} must list integers, got {tuple(getattr(self, name))!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.K < 1 or self.J < 1:
@@ -103,10 +122,12 @@ class NetworkConfig:
         object.__setattr__(self, "filters", tuple(int(f) for f in self.filters))
         object.__setattr__(self, "kernels", tuple(int(k) for k in self.kernels))
         object.__setattr__(self, "weight_bounds", tuple(float(w) for w in self.weight_bounds))
-        n = self.n
+        n, b = self.n, self.bounds
         if self.variant == "cgnet":
             if not 0 < self.mu_bound < math.inf:
                 raise ValueError("cgnet requires a positive finite mu_bound")
+            if not 1.0 <= b.a <= b.z_inf:
+                raise ValueError(f"cgnet requires 1 <= a <= z_inf, got a={b.a}, z_inf={b.z_inf}")
             weights, scalar_radius = (((n, n), n * (n + 1) // 2, self.p_max),), self.mu_bound
         else:
             if self.Lc < 1:
@@ -192,21 +213,19 @@ def _initial_scale(y, model, config):
 
 def _scale_floor(config):
     """Lower end of the admissible scale region: 0 for drcgnet; for cgnet the
-    clamp floor ``a``, so that the log-regularizer gradient is defined."""
+    clamp floor ``a``, at least 1 by the config, where ``H_MAX`` and ``TAU_H`` hold."""
     return config.bounds.a if config.variant == "cgnet" else 0.0
 
 
 def _scale_update(z, u, y, model, theta_kj, config):
     """One scale update: the variant's step, clamped to [0, z_inf]. ``theta_kj``
     holds its D blocks, each stacked per row for a stack of parameter sets.
-    A gradient that overflows is recomputed by the kernel; the caller
-    silences numpy's warnings about it."""
+    A cgnet ``z`` lies in ``[a, z_inf]``, so ``z >= 1`` and the log term is
+    finite (a zero mu adds exactly zero). A gradient that overflows is
+    recomputed by the kernel; the caller silences numpy's warnings about it."""
     b = config.bounds
     if config.variant == "cgnet":
         B, mu = theta_kj
-        mu = np.asarray(mu, dtype=np.float64)
-        if np.any((mu != 0.0)[..., None] & (z <= 0.0)):
-            raise ValueError("cgnet scale step with mu != 0 requires strictly positive z")
         out = kernels["cgnet_step"](z, u, y, model.A, B, mu, b.a, b.b, b.xi)
     else:
         v = kernels["drcgnet_vstep"](z, u, y, model.A, theta_kj[-1], b.xi)

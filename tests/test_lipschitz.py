@@ -29,18 +29,23 @@ E3 = math.exp(3.0)
 UNIT_MODEL = MeasurementModel(np.array([[1.0]]))
 
 
+# every z >= 1 a cgnet config admits: a fine linear grid over the default
+# clamp interval [1, e^3] and a log-spaced one over [1, 1e12]
+REGULARIZER_GRID = np.concatenate([np.linspace(1.0, E3, 200001), np.logspace(0.0, 12.0, 200001)])
+
+
 class TestRegularizerExtrema:
     def test_log_over_z_peak(self):
-        # max of log(z)/z over [1, e^3] sits at z = e with value 1/e
-        z = np.linspace(1.0, E3, 200001)
-        grid_max = np.max(np.log(z) / z)
+        # max of |log(z)/z| over [1, inf) sits at z = e with value 1/e
+        z = REGULARIZER_GRID
+        grid_max = np.max(np.abs(np.log(z) / z))
         assert grid_max <= H_MAX + 1e-9
         assert grid_max == pytest.approx(H_MAX, abs=1e-6)
 
     def test_derivative_bound_peak(self):
-        # max of (1 - log z)/z^2 over [1, e^3] sits at z = 1 with value 1
-        z = np.linspace(1.0, E3, 200001)
-        grid_max = np.max((1.0 - np.log(z)) / z**2)
+        # max of |(1 - log z)/z^2| over [1, inf) sits at z = 1 with value 1
+        z = REGULARIZER_GRID
+        grid_max = np.max(np.abs((1.0 - np.log(z)) / z**2))
         assert grid_max <= TAU_H + 1e-9
         assert grid_max == pytest.approx(TAU_H, abs=1e-6)
 

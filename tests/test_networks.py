@@ -96,14 +96,6 @@ class TestGradZ:
         fd = central_diff_grad(f, z, h=1e-6)
         np.testing.assert_allclose(grad_z_oracle(z, u, y, model.A, mu), fd, rtol=1e-4)
 
-    def test_domain_error(self):
-        model = MeasurementModel(np.eye(2))
-        # a stack is checked whole: one bad entry in its last row
-        z = np.ones((3, 2))
-        z[2, 1] = 0.0
-        with pytest.raises(ValueError, match="positive"):
-            _scale_update(z, np.zeros((3, 2)), np.zeros((3, 2)), model, (np.eye(2), 1.0), _cg_config(n=2))
-
 
 class TestCgnetStep:
     def test_zero_matrix_is_pure_clamp(self):
@@ -330,12 +322,11 @@ class TestForward:
                 np.testing.assert_array_equal(got[i], want)
 
     def test_cgnet_rejects_a_zero_scale(self):
-        # with a = 0 the initial clamp leaves z = 0 where A^T y < 0, and the
-        # log term of a nonzero mu is undefined there
-        config = replace(_cg_config(n=4), bounds=replace(BOUNDS, a=0.0))
-        theta = sample_parameters(config, 1)
-        with pytest.raises(ValueError, match="requires strictly positive z"):
-            forward(np.array([1.0, -1.0, 2.0, -2.0]), theta, config, MeasurementModel(np.eye(4)))
+        # with a = 0 the initial clamp would leave z = 0 where A^T y < 0, and the
+        # log term is undefined there: the config refuses the floor before any pass
+        message = f"cgnet requires 1 <= a <= z_inf, got a=0.0, z_inf={BOUNDS.z_inf}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(_cg_config(n=4), bounds=replace(BOUNDS, a=0.0))
 
     @pytest.mark.filterwarnings("error")
     def test_underflowing_fallback_gradient_stays_on_the_xi_sphere(self):
@@ -343,7 +334,7 @@ class TestForward:
         # squared norm that underflows; the step must move z by about B * xi,
         # not send it to the clamp ceiling
         bounds = SignalBounds(c_max=1.52e92, z_inf=19.710476026451484, xi=1.1263761501765088e-20,
-                              a=3.155936251341694e-4, b=19.710476026451484)
+                              a=1.0, b=19.710476026451484)
         config = NetworkConfig(variant="cgnet", n=1, K=1, J=1, bounds=bounds,
                                p_min=0.5, p_max=2.0, mu_bound=2.808103821780739)
         theta = sample_parameters(config, 22578684)
@@ -427,19 +418,6 @@ class TestParameterStack:
             for got, want in zip(fields, _trace_fields(forward(y, theta, config, model))):
                 np.testing.assert_array_equal(got[t], want)
 
-    def test_zero_mu_row_skips_log_term(self):
-        # a row with mu == 0 may hold z <= 0, where the log term is undefined
-        rng = np.random.default_rng(SEED_NET)
-        model = _model(rng)
-        z = np.stack([rng.uniform(1, 3, size=8), np.zeros(8)])
-        u, y = rng.standard_normal((2, 8)), rng.standard_normal((2, 4))
-        B = np.stack([random_spd(rng, 8), random_spd(rng, 8)])
-        mu = np.array([0.7, 0.0])
-        config = _cg_config()
-        out = _scale_update(z, u, y, model, (B, mu), config)
-        for t in range(2):
-            np.testing.assert_array_equal(out[t], _scale_update(z[t], u[t], y[t], model, (B[t], mu[t]), config))
-
     def test_rejects_bad_stacks(self):
         rng = np.random.default_rng(SEED_NET)
         model = _model(rng)
@@ -480,11 +458,32 @@ class TestNetworkConfig:
         (lambda: _dr_config(Lc=2), {"filters": (1, 0, 1)}, "filter counts must be positive"),
         (_dr_config, {"kernels": (3, 3)}, "kernels must list Lc positive kernel sizes"),
         (_dr_config, {"kernels": (0,)}, "kernels must list Lc positive kernel sizes"),
+        (_cg_config, {"K": 2.5}, "K must be an integer, got 2.5"),
+        (_cg_config, {"K": True}, "K must be an integer, got True"),
+        (_cg_config, {"n": 4.5}, "n must be an integer, got 4.5"),
+        (_cg_config, {"J": np.float64(2.0)}, "J must be an integer, got np.float64(2.0)"),
+        (_dr_config, {"Lc": 1.0}, "Lc must be an integer, got 1.0"),
+        (lambda: _dr_config(Lc=2), {"filters": (1, 2.7, 1)}, "filters must list integers, got (1, 2.7, 1)"),
+        (_dr_config, {"kernels": [np.True_]}, "kernels must list integers, got (np.True_,)"),
     ], ids=["unknown_variant", "n_zero", "Lc_zero", "filters_length", "filter_count_zero",
-            "kernels_length", "kernel_zero"])
+            "kernels_length", "kernel_zero", "K_float", "K_bool", "n_float", "J_numpy_float",
+            "Lc_float", "filter_float", "kernel_bool"])
     def test_rejects_a_bad_layout(self, make, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(make(), **fields)
+
+    def test_takes_numpy_integer_sizes(self):
+        config = replace(_dr_config(Lc=2), n=np.int64(4), filters=(1, np.int32(2), 1))
+        assert config.block_specs == _dr_config(n=4, Lc=2).block_specs
+
+    @pytest.mark.parametrize("a, z_inf, b", [(0.5, 20.0, 20.0), (30.0, 20.0, 40.0)],
+                             ids=["a_below_one", "a_above_z_inf"])
+    def test_cgnet_requires_one_le_a_le_z_inf(self, a, z_inf, b):
+        bounds = SignalBounds(c_max=1.0, z_inf=z_inf, xi=1.0, a=a, b=b)
+        message = f"cgnet requires 1 <= a <= z_inf, got a={a}, z_inf={z_inf}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(_cg_config(), bounds=bounds)
+        assert replace(_dr_config(), bounds=bounds).bounds.a == a  # drcgnet does not read a
 
     def test_block_specs(self):
         cg = _cg_config(n=3)

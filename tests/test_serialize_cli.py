@@ -548,6 +548,17 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == "error: model.sigma = 1e+308 makes the noisy measurements overflow\n"
 
+    def test_cgnet_scale_floor_below_one_is_one_error_line(self, tmp_path):
+        # below z = 1 the step constants H_MAX and TAU_H do not hold: no certificate
+        cfg = _cgnet_config()
+        cfg["bounds"] = {"c_max": 1.0, "z_inf": 20.0, "xi": 1.0, "a": 0.5, "b": 20.0}
+        path = tmp_path / "cgnet_a_half.json"
+        path.write_text(json.dumps(cfg))
+        proc = _run_from_source(["-m", "cgbound", "bound", "--config", str(path)], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == ("configuration error: network: cgnet requires 1 <= a <= z_inf, "
+                               "got a=0.5, z_inf=20.0\n")
+
     @pytest.mark.parametrize("case", ["weight_radius", "covariance_radius"])
     def test_underflowing_covering_ratio_is_one_error_line(self, tmp_path, case):
         path = tmp_path / f"{case}.json"

@@ -525,14 +525,28 @@ MUTANTS = [
         ["tests/test_model.py::TestMeasurementModel::"
          "test_overflowing_row_sum_is_named_without_a_warning"],
     ),
-    # one scale step; the clipped fallback gradient; the named spectral-norm overflow
+    # the config's one statement of the cgnet scale domain and of integer sizes
     Mutant(
-        "scale_update_positivity_check_dropped", "networks.py",
-        "        if np.any((mu != 0.0)[..., None] & (z <= 0.0)):\n",
-        "        if False:\n",
-        ["tests/test_networks.py::TestGradZ::test_domain_error",
-         "tests/test_networks.py::TestForward::test_cgnet_rejects_a_zero_scale"],
+        "cgnet_clamp_floor_below_one", "networks.py",
+        "            if not 1.0 <= b.a <= b.z_inf:\n",
+        "            if not 0.0 <= b.a <= b.z_inf:\n",
+        ["tests/test_networks.py::TestNetworkConfig::test_cgnet_requires_one_le_a_le_z_inf",
+         "tests/test_networks.py::TestForward::test_cgnet_rejects_a_zero_scale",
+         "tests/test_serialize_cli.py::TestCli::test_cgnet_scale_floor_below_one_is_one_error_line"],
     ),
+    Mutant(
+        "network_config_integer_check_dropped", "networks.py",
+        "    return isinstance(v, numbers.Integral) and not isinstance(v, bool)\n",
+        "    return True\n",
+        ["tests/test_networks.py::TestNetworkConfig::test_rejects_a_bad_layout"],
+    ),
+    Mutant(
+        "network_config_takes_bool_sizes", "networks.py",
+        "isinstance(v, numbers.Integral) and not isinstance(v, bool)",
+        "isinstance(v, numbers.Integral)",
+        ["tests/test_networks.py::TestNetworkConfig::test_rejects_a_bad_layout"],
+    ),
+    # one scale step; the clipped fallback gradient; the named spectral-norm overflow
     Mutant(
         "scale_update_z_inf_clamp_dropped", "networks.py",
         "    return mrelu(out, 0.0, b.z_inf)\n",
