@@ -26,7 +26,6 @@ __all__ = [
     "BoundReport",
     "ScalingFit",
     "SweepSpec",
-    "dim_cov",
     "dudley_closed_form",
     "ymax_estimate",
     "geb_bound",
@@ -151,22 +150,6 @@ class SweepSpec:
             raise ValueError(f"the n axis starts at 2, got {self.values}")
 
 
-def dim_cov(structure, n):
-    """Free-parameter count of each covariance structure."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    table = {
-        "scaled_identity": 1,
-        "diagonal": n,
-        "tridiagonal": 2 * n - 1,
-        "full": n * (n + 1) // 2,
-    }
-    try:
-        return table[structure]
-    except KeyError:
-        raise ValueError(f"unknown covariance structure {structure!r}") from None
-
-
 def _covering_term(alpha, log_ratio):
     """Entropy term ``sqrt(alpha * ln(e * (1 + ratio)))`` of a dimension-alpha
     ball, elementwise; ``1 + logaddexp(0, log ratio)`` is stable for huge ratios."""
@@ -215,18 +198,23 @@ def norm_log_sum(model, y_max):
     return math.log(y_max) + math.log(model.norm2) + math.log(model.norm_inf)
 
 
-def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
-    """Ns-free part of the bound: the input checks other than ``Ns``'s, the
-    network constants and the covering-entropy sums.
+@dataclass(frozen=True)
+class _Entropy:
+    """The Ns-free part of a bound: the network constants, the ``(K, J, D)``
+    covering terms of the per-step blocks, and the covariance, matrix-block
+    and scalar-block entropy sums that term2 scales."""
 
-    Returns ``(constants, dim_P, alphas, omegas, KJD + 1, sums)``, where
-    ``sums`` holds the covariance, matrix-block and scalar-block entropy sums
-    that term2 scales. ``empirical_loss`` is only checked, in the order
-    :func:`geb_bound` checks its inputs. Each covering block enters as
-    ``_covering_term(dimension, log coeff + log kappa)``, with the dimension
-    and radius of its row of ``config.block_specs``; the scalar block is that
-    table's last row and every other row is a matrix block.
-    """
+    constants: object
+    terms: np.ndarray
+    sums: tuple
+
+
+def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
+    """The :class:`_Entropy` of ``config``, after the input checks other than
+    ``Ns``'s (``empirical_loss`` is only checked, in the order :func:`geb_bound`
+    checks its inputs). Each covering ball enters as ``_covering_term(dimension,
+    log coeff + log kappa)``, with the dimension and radius of its row of
+    ``config.cov_spec`` or ``config.block_specs``."""
     _check_eps_conf(eps_conf)
     if not (math.isfinite(y_max) and y_max >= 0):
         raise ValueError(f"y_max must be finite and nonnegative, got {y_max}")
@@ -238,26 +226,20 @@ def _entropy(config, model, eps_conf, y_max, empirical_loss=0.0):
     cns = network_constants(config, model, y_max)
     c_max = config.bounds.c_max
     kjd1 = config.K * config.J * config.D + 1
-    dim_p = dim_cov(config.cov_structure, config.n)
-
-    specs = config.block_specs
-    radii = (config.p_max, *(w for _, _, w in specs))
+    rows = (config.cov_spec, *config.block_specs)
+    radii = [w for _, _, w, _ in rows]
     ratios = [4.0 * w * kjd1 / c_max for w in radii]
     for w, ratio in zip(radii, ratios):
         if not sys.float_info.min <= ratio < math.inf:
             raise ValueError(f"the covering ratio 4 * (KJD + 1) * radius / c_max is {ratio!r}, "
                              f"outside the normal float64 range, at radius = {w!r} and c_max = {c_max!r}")
-    term2_cov = float(_covering_term(dim_p, math.log(ratios[0]) + cns.log_kappa))
+    term2_cov = float(_covering_term(config.cov_spec[1], math.log(ratios[0]) + cns.log_kappa))
 
-    alphas = np.array([a for _, a, _ in specs], dtype=np.float64)
-    omegas = np.array(radii[1:], dtype=np.float64)
-    log_coeffs = np.log(ratios[1:])
-    terms = _covering_term(alphas, log_coeffs + cns.log_kappa_kdj)  # (K, J, D)
+    alphas = np.array([a for _, a, _, _ in rows[1:]], dtype=np.float64)
+    terms = _covering_term(alphas, np.log(ratios[1:]) + cns.log_kappa_kdj)  # (K, J, D)
     block_sums = np.add.reduce(terms, axis=(0, 1))  # per d
-
-    term2_weights = float(np.add.reduce(block_sums[:-1]))  # matrix blocks, any dimension
-    term2_scalars = float(block_sums[-1])
-    return cns, dim_p, alphas, omegas, kjd1, (term2_cov, term2_weights, term2_scalars)
+    # matrix blocks, any dimension, then the scalar block
+    return _Entropy(cns, terms, (term2_cov, float(np.add.reduce(block_sums[:-1])), float(block_sums[-1])))
 
 
 def _overflow(loss, Ns, term2, term3):
@@ -281,7 +263,7 @@ def _ns_terms(config, loss, sums, Ns, eps_conf):
 
 def _report(config, loss, Ns, eps_conf, y_max, empirical_loss, entropy):
     """The :class:`BoundReport` at ``Ns`` from the Ns-free ``entropy``."""
-    cns, dim_p, alphas, omegas, kjd1, sums = entropy
+    sums = entropy.sums
     scale, term2, term3 = _ns_terms(config, loss, sums, Ns, eps_conf)
     total = empirical_loss + term2 + term3
     if not math.isfinite(total):
@@ -294,17 +276,17 @@ def _report(config, loss, Ns, eps_conf, y_max, empirical_loss, entropy):
         term2_cov=float(scale * sums[0]),
         term2_weights=float(scale * sums[1]),
         term2_scalars=float(scale * sums[2]),
-        constants=cns,
+        constants=entropy.constants,
         inputs={
             "Ns": int(Ns),
             "eps_conf": float(eps_conf),
             "y_max": float(y_max),
-            "dim_P": int(dim_p),
-            "alphas": alphas.tolist(),
-            "omegas": omegas.tolist(),
+            "dim_P": int(config.cov_spec[1]),
+            "alphas": [float(a) for _, a, _, _ in config.block_specs],
+            "omegas": [float(w) for _, _, w, _ in config.block_specs],
             "tau": float(loss.tau),
             "c": float(loss.c),
-            "KJD_plus_1": int(kjd1),
+            "KJD_plus_1": int(config.K * config.J * config.D + 1),
         },
     )
 
@@ -464,7 +446,7 @@ def sample_complexity(config, model, loss, gap, eps_conf, y_max):
     """
     if not gap > 0:
         raise ValueError(f"gap must be positive, got {gap}")
-    sums = _entropy(config, model, eps_conf, y_max)[-1]
+    sums = _entropy(config, model, eps_conf, y_max).sums
 
     def block(ns):
         _, term2, term3 = _ns_terms(config, loss, sums, ns, eps_conf)

@@ -65,13 +65,15 @@ def _is_size(v):
 class NetworkConfig:
     """Architecture, admissible-region radii, and parameter-ball radii.
 
-    ``K`` outer layers each apply ``J`` scale updates. The covariance ball
-    is the set of SPD matrices with spectrum inside ``[p_min, p_max]``,
-    structured as a scaled identity for ``cgnet`` and tridiagonal for
-    ``drcgnet``.
+    ``K`` outer layers each apply ``J`` scale updates.
 
-    ``block_specs`` is the one table of the block layout, set at
-    construction: the ``(shape, covering dimension, ball radius)`` of each
+    ``cov_spec`` and ``block_specs`` are the layout's rows, set at
+    construction, one per covering ball: ``(shape, covering dimension, ball
+    radius, structure)``, where ``structure`` names the part of a matrix
+    that ``validate_parameters`` lets through (``None``: any).
+    ``cov_spec`` is the covariance ball, the SPD matrices with spectrum
+    inside ``[p_min, p_max]``: a scaled identity of dimension 1 for cgnet,
+    tridiagonal of dimension 2n - 1 for drcgnet. ``block_specs`` holds each
     block d = 1 .. D of one scale update, the scalar block (shape ``()``)
     last. cgnet: B (n x n and symmetric, so of dimension n(n+1)/2, radius
     p_max), then mu (radius mu_bound). drcgnet: the subnetwork weight W_ell
@@ -102,6 +104,7 @@ class NetworkConfig:
     delta: float = 0.0
     # set in __post_init__, not a cached_property: that writes the instance
     # __dict__, which makes every attribute read of the config slower
+    cov_spec: tuple = field(init=False, repr=False, compare=False)
     block_specs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,7 +131,8 @@ class NetworkConfig:
                 raise ValueError("cgnet requires a positive finite mu_bound")
             if not 1.0 <= b.a <= b.z_inf:
                 raise ValueError(f"cgnet requires 1 <= a <= z_inf, got a={b.a}, z_inf={b.z_inf}")
-            weights, scalar_radius = (((n, n), n * (n + 1) // 2, self.p_max),), self.mu_bound
+            cov = ((n, n), 1, self.p_max, "scaled_identity")
+            weights, scalar_radius = (((n, n), n * (n + 1) // 2, self.p_max, "symmetric"),), self.mu_bound
         else:
             if self.Lc < 1:
                 raise ValueError("drcgnet requires Lc >= 1")
@@ -146,19 +150,17 @@ class NetworkConfig:
             if not 0 < self.delta < math.inf:
                 raise ValueError("drcgnet requires a positive finite delta")
             f, k, w = self.filters, self.kernels, self.weight_bounds
-            weights = tuple(((n * f[ell], n * f[ell - 1]), f[ell - 1] * f[ell] * k[ell - 1] ** 2, w[ell - 1])
-                            for ell in range(1, self.Lc + 1))
+            cov = ((n, n), 2 * n - 1, self.p_max, "tridiagonal")
+            weights = tuple(((n * f[ell], n * f[ell - 1]), f[ell - 1] * f[ell] * k[ell - 1] ** 2,
+                             w[ell - 1], None) for ell in range(1, self.Lc + 1))
             scalar_radius = self.delta
-        object.__setattr__(self, "block_specs", weights + (((), 1, scalar_radius),))
+        object.__setattr__(self, "cov_spec", cov)
+        object.__setattr__(self, "block_specs", weights + (((), 1, scalar_radius, None),))
 
     @property
     def D(self):
         """Number of parameter blocks per scale update."""
         return len(self.block_specs)
-
-    @property
-    def cov_structure(self):
-        return "scaled_identity" if self.variant == "cgnet" else "tridiagonal"
 
 
 @dataclass(frozen=True)
@@ -344,10 +346,10 @@ def _sample_blocks(config, rng):
     ``ParameterSet.blocks`` tuple: one ``(K, J, ...)`` stack per block index.
     """
     kj = config.K * config.J
-    *weights, (_, _, scalar_radius) = config.block_specs
+    *weights, (_, _, scalar_radius, _) = config.block_specs
     scalars = []
     if config.variant == "cgnet":
-        ((shape, _, radius),) = weights
+        ((shape, _, radius, _),) = weights
         radii, mats = np.empty(kj), []
         for i in range(kj):
             radii[i] = radius * rng.random()
@@ -359,7 +361,7 @@ def _sample_blocks(config, rng):
     else:
         mats, radii = [[] for _ in weights], np.empty((len(weights), kj))
         for i in range(kj):
-            for ell, (shape, _, radius) in enumerate(weights):
+            for ell, (shape, _, radius, _) in enumerate(weights):
                 mats[ell].append(rng.standard_normal(shape))
                 radii[ell, i] = radius * rng.random()
             scalars.append(rng.uniform(-scalar_radius, scalar_radius))
@@ -382,8 +384,16 @@ def sample_parameters(config, seed):
     are tightest.
     """
     rng = np.random.default_rng(seed)
-    P = sample_covariance(config.cov_structure, config.n, config.p_min, config.p_max, rng)
+    P = sample_covariance(config.cov_spec[3], config.n, config.p_min, config.p_max, rng)
     return ParameterSet(P=P, blocks=_sample_blocks(config, rng))
+
+
+# the part of a square matrix, or of a stack of them, outside each structure
+_OUTSIDE = {
+    "scaled_identity": lambda M: M - M[..., :1, :1] * np.eye(M.shape[-1]),
+    "tridiagonal": lambda M: M - np.triu(np.tril(M, 1), -1),
+    "symmetric": lambda M: M - np.swapaxes(M, -1, -2),
+}
 
 
 def _block_norms(blocks):
@@ -395,32 +405,36 @@ def _block_norms(blocks):
 def validate_parameters(theta, config):
     """Check the covariance and every block stack against their balls; raise on violation.
 
-    The covariance needs its spectrum in ``[p_min, p_max]``, then the
-    structure ``config.cov_structure``: each entry of ``P - P[0, 0] I``
-    (cgnet) or outside the three middle diagonals (drcgnet) at most
-    ``BALL_TOL * ||P||_2`` in absolute value.
+    The covariance needs its spectrum in ``[p_min, p_max]``, each block
+    stack its shape and every norm inside its radius. Then each matrix whose
+    row of ``config.cov_spec`` or ``config.block_specs`` names a structure
+    keeps to it: every entry of its part ``_OUTSIDE`` that structure is at
+    most ``BALL_TOL`` times its spectral norm in absolute value.
     """
     if theta.P.p_max > config.p_max * (1 + BALL_TOL) or theta.P.p_min < config.p_min * (1 - BALL_TOL):
         raise ValueError("covariance spectrum leaves [p_min, p_max]")
-    P = theta.P.P
-    if config.variant == "cgnet":
-        off = P - P[0, 0] * np.eye(config.n)
-    else:
-        off = P - np.triu(np.tril(P, 1), -1)
-    if np.max(np.abs(off)) > BALL_TOL * theta.P.p_max:
-        raise ValueError(f"covariance is not {config.cov_structure}")
     specs = config.block_specs
     if len(theta.blocks) != len(specs):
         raise ValueError(f"expected {len(specs)} block stacks, got {len(theta.blocks)}")
-    for d, (b, (shape, _, _)) in enumerate(zip(theta.blocks, specs), start=1):
+    for d, (b, (shape, *_)) in enumerate(zip(theta.blocks, specs), start=1):
         if np.shape(b) != (config.K, config.J) + shape:
             raise ValueError(f"block {d} stack has shape {np.shape(b)}, "
                              f"expected {(config.K, config.J) + shape}")
-    radii = np.array([radius for _, _, radius in specs])
-    outside = np.argwhere(~(_block_norms(theta.blocks) <= radii * (1 + BALL_TOL)))  # NaN is outside
+    norms = _block_norms(theta.blocks)
+    radii = np.array([radius for _, _, radius, _ in specs])
+    outside = np.argwhere(~(norms <= radii * (1 + BALL_TOL)))  # NaN is outside
     if outside.size:
         k, j, d = outside[0] + 1
         raise ValueError(f"block {d} at layer {k} step {j} leaves its ball")
+    rows = zip((theta.P.P, *theta.blocks), (theta.P.p_max, *np.moveaxis(norms, -1, 0)),
+               (config.cov_spec, *specs))
+    for d, (M, norm, (*_, structure)) in enumerate(rows):
+        if structure is not None:
+            inside = np.abs(_OUTSIDE[structure](M)).max(axis=(-2, -1)) <= BALL_TOL * norm
+            if not inside.all():
+                place = ("block {} at layer {} step {}".format(d, *np.argwhere(~inside)[0] + 1)
+                         if d else "covariance")
+                raise ValueError(f"{place} is not {structure}")
 
 
 def parameter_distance(t1, t2):

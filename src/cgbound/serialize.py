@@ -154,7 +154,7 @@ def parameters_from_json(obj, config, path="params"):
     raw = obj["blocks"]
     if not isinstance(raw, list) or len(raw) != config.K:
         raise ConfigError(f"{path}.blocks: expected a {config.K} x {config.J} grid")
-    shapes = [shape for shape, _, _ in config.block_specs]
+    shapes = [shape for shape, *_ in config.block_specs]
     stacks = [[] for _ in shapes]
     for k, row in enumerate(raw, start=1):
         if not isinstance(row, list) or len(row) != config.J:

@@ -248,8 +248,7 @@ def _trial_scale_mapping(rng, dims):
     J = int(rng.integers(1, dims.kj_max + 1))
     config = _sample_config(rng, dims, model.n, K=1, J=J)
     y = rng.standard_normal(model.m)
-    P1 = _sample_P(rng, model.n, dims, config.cov_structure)
-    P2 = _sample_P(rng, model.n, dims, config.cov_structure)
+    P1, P2 = (_sample_P(rng, model.n, dims, config.cov_spec[3]) for _ in range(2))
     yy = np.array([y, y])
     u = tikhonov_solve(model, _admissible_scales(rng, config), yy, (P1, P2))
     z = _admissible_scales(rng, config)

@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from cgbound.bounds import dim_cov
 from cgbound.lipschitz import H_MAX, TAU_H, datafit_grad_constants, fc_lipschitz, tikhonov_constants
 
 
@@ -292,16 +291,16 @@ def _entropy_ref(config, model, y_max):
     cns = network_constants_oracle(config, model, y_max)
     c_max = config.bounds.c_max
     kjd1 = config.K * config.J * config.D + 1
-    dim_p = dim_cov(config.cov_structure, config.n)
+    dim_p = 1 if config.variant == "cgnet" else 2 * config.n - 1  # scaled identity, tridiagonal
     term2_cov = math.sqrt(dim_p * _log_factor_ref(
         math.log(4.0 * config.p_max * kjd1 / c_max), cns["log_kappa"]))
     specs = config.block_specs
-    alphas = np.array([a for _, a, _ in specs], dtype=np.float64)
-    omegas = np.array([w for _, _, w in specs], dtype=np.float64)
+    alphas = np.array([a for _, a, _, _ in specs], dtype=np.float64)
+    omegas = np.array([w for _, _, w, _ in specs], dtype=np.float64)
     log_coeffs = np.log(4.0 * omegas * kjd1 / c_max)
     factors = _log_factor_ref(log_coeffs[None, None, :], cns["log_kappa_kdj"])
     block_sums = np.sqrt(alphas[None, None, :] * factors).sum(axis=(0, 1))
-    is_scalar = np.array([shape == () for shape, _, _ in specs])
+    is_scalar = np.array([shape == () for shape, _, _, _ in specs])
     sums = (term2_cov, float(block_sums[~is_scalar].sum()), float(block_sums[is_scalar].sum()))
     return cns, dim_p, alphas, omegas, kjd1, sums
 

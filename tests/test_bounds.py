@@ -12,7 +12,6 @@ from cgbound import bounds
 from cgbound.bounds import (
     LossSpec,
     SweepSpec,
-    dim_cov,
     dudley_closed_form,
     geb_bound,
     sample_complexity,
@@ -54,22 +53,6 @@ def _count_calls(monkeypatch, *names):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(bounds, name, counted)
     return calls
-
-
-class TestDimCov:
-    def test_values(self):
-        assert dim_cov("scaled_identity", 5) == 1
-        assert dim_cov("diagonal", 5) == 5
-        assert dim_cov("tridiagonal", 5) == 9
-        assert dim_cov("full", 4) == 10
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            dim_cov("toeplitz", 4)
-
-    def test_rejects_n_below_one(self):
-        with pytest.raises(ValueError, match="^n must be >= 1$"):
-            dim_cov("diagonal", 0)
 
 
 class TestCoveringLogBound:
@@ -198,6 +181,20 @@ def _dr_config(n=4, K=1, J=1):
 FROZEN_A = np.array([[0.5, -0.25, 0.75, 1.0], [0.25, 0.5, -0.5, 0.3]])
 
 
+class TestDimCov:
+    """The covariance ball's covering dimension: 1 for cgnet's scaled
+    identity, 2n - 1 for drcgnet's tridiagonal covariance."""
+
+    def test_values(self):
+        assert [_cg_config(n=n).cov_spec[1] for n in (1, 2, 5)] == [1, 1, 1]
+        assert [_dr_config(n=n).cov_spec[1] for n in (1, 2, 5)] == [1, 3, 9]
+        model = MeasurementModel(FROZEN_A)
+        loss = LossSpec.mae(4, 1.0)
+        reported = [geb_bound(make(), model, loss, 1000, 0.05, 2.0).inputs["dim_P"]
+                    for make in (_cg_config, _dr_config)]
+        assert reported == [1, 7]
+
+
 class TestGebBound:
     def test_frozen_instance(self):
         # reference values computed independently at 40-digit precision
@@ -241,7 +238,7 @@ class TestGebBound:
         loss = LossSpec.mae(4, 1.0)
         rep = geb_bound(cfg, model, loss, 400, 0.05, 0.0)
         expected = (8 * loss.tau * 1.0 / math.sqrt(400)) * (
-            math.sqrt(dim_cov("tridiagonal", 4)) + sum(math.sqrt(a) for _, a, _ in cfg.block_specs)
+            math.sqrt(cfg.cov_spec[1]) + sum(math.sqrt(a) for _, a, _, _ in cfg.block_specs)
         )
         assert rep.term2 == pytest.approx(expected, rel=1e-12)
 
@@ -366,7 +363,7 @@ class TestBlockSplit:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_dimension_one_matrix_block_counts_as_weights(self, name):
         config = self.CONFIGS[name]
-        assert [a for _, a, _ in config.block_specs] == [1, 1]
+        assert [a for _, a, _, _ in config.block_specs] == [1, 1]
         model = MeasurementModel(FROZEN_A[:, :config.n])
         loss = LossSpec.mae(config.n, 1.0)
         rep = geb_bound(config, model, loss, 1000, 0.05, 2.0)
@@ -374,7 +371,7 @@ class TestBlockSplit:
         scale = 8.0 * loss.tau / math.sqrt(1000)
         want = [scale * sum(math.sqrt(1.0 + math.log1p(4.0 * w * kjd1 * kap))
                             for kap in rep.constants.kappa_kdj[:, :, d].ravel())
-                for d, (_, _, w) in enumerate(config.block_specs)]
+                for d, (_, _, w, _) in enumerate(config.block_specs)]
         assert rep.term2_weights == pytest.approx(want[0], rel=1e-12)
         assert rep.term2_scalars == pytest.approx(want[1], rel=1e-12)
 

@@ -487,10 +487,13 @@ class TestNetworkConfig:
 
     def test_block_specs(self):
         cg = _cg_config(n=3)
-        assert cg.block_specs == (((3, 3), 6, 2.0), ((), 1, 1.0))
+        assert cg.cov_spec == ((3, 3), 1, 2.0, "scaled_identity")
+        assert cg.block_specs == (((3, 3), 6, 2.0, "symmetric"), ((), 1, 1.0, None))
         dr = replace(_dr_config(n=4, Lc=2), kernels=(3, 5), weight_bounds=(0.9, 0.7))
-        assert dr.block_specs == (((8, 4), 18, 0.9), ((4, 8), 50, 0.7), ((), 1, 0.5))
+        assert dr.cov_spec == ((4, 4), 7, 2.0, "tridiagonal")
+        assert dr.block_specs == (((8, 4), 18, 0.9, None), ((4, 8), 50, 0.7, None), ((), 1, 0.5, None))
         assert (cg.D, dr.D) == (2, 3)
+        assert [replace(c, n=5).cov_spec[1] for c in (cg, dr)] == [1, 9]
 
 
 class TestGcgls:
@@ -584,8 +587,22 @@ class TestSampling:
         near[0, -1] = near[-1, 0] = 1e-12  # inside the BALL_TOL slack
         validate_parameters(replace(theta, P=SpdMatrix(near)), config)
         P = sample_covariance(structure, config.n, config.p_min, config.p_max, np.random.default_rng(2))
-        with pytest.raises(ValueError, match=f"^covariance is not {config.cov_structure}$"):
+        with pytest.raises(ValueError, match=f"^covariance is not {config.cov_spec[3]}$"):
             validate_parameters(replace(theta, P=P), config)
+
+    def test_validation_rejects_an_asymmetric_b(self):
+        config = _cg_config(K=2, J=3)
+        theta = sample_parameters(config, 11)
+        B = theta.blocks[0]
+        assert np.array_equal(B, B.swapaxes(-1, -2))  # sampled B are exactly symmetric
+        near = B.copy()
+        near[1, 2, 0, -1] += 1e-12  # inside the BALL_TOL slack
+        validate_parameters(replace(theta, blocks=(near, theta.blocks[1])), config)
+        G = np.random.default_rng(3).standard_normal((config.n, config.n))
+        skew = B.copy()
+        skew[1, 2] = G * (config.p_max / spectral_norm(G))  # on the ball's boundary
+        with pytest.raises(ValueError, match="^block 1 at layer 2 step 3 is not symmetric$"):
+            validate_parameters(replace(theta, blocks=(skew, theta.blocks[1])), config)
 
     def test_parameter_distance_matches_single_block_norms(self):
         for config in (_cg_config(K=2, J=3), _dr_config(K=3, J=1, Lc=2)):

@@ -876,7 +876,28 @@ class TestParameterSerialization:
         P = sample_covariance(structure, cfg.n, cfg.p_min, cfg.p_max, np.random.default_rng(2))
         payload = parameters_to_json(sample_parameters(cfg, 77))
         payload["P"] = array_to_json(P.P)
-        message = f"params: covariance is not {cfg.cov_structure}"
+        message = f"params: covariance is not {cfg.cov_spec[3]}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parameters_from_json(payload, cfg)
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        params_path = tmp_path / "theta.json"
+        params_path.write_text(json.dumps(payload))
+        assert main(["solve", "--config", str(cfg_path), "--params", str(params_path)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_rejects_an_asymmetric_b(self, tmp_path, capsys):
+        from cgbound.model import spectral_norm
+        from cgbound.networks import sample_parameters
+        from cgbound.serialize import parameters_from_json, parameters_to_json
+
+        raw = _cgnet_config()
+        cfg = load_run_config(raw).network
+        payload = parameters_to_json(sample_parameters(cfg, 77))
+        G = np.random.default_rng(3).standard_normal((cfg.n, cfg.n))
+        payload["blocks"][1][0][0] = array_to_json(G * (cfg.p_max / spectral_norm(G)))
+        message = "params: block 1 at layer 2 step 1 is not symmetric"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parameters_from_json(payload, cfg)
 

@@ -110,10 +110,9 @@ MUTANTS = [
     ),
     Mutant(
         "block_split_by_dimension", "bounds.py",
-        """    term2_weights = float(np.add.reduce(block_sums[:-1]))  # matrix blocks, any dimension
-    term2_scalars = float(block_sums[-1])""",
-        """    term2_weights = float(np.add.reduce(block_sums[alphas > 1.5]))
-    term2_scalars = float(np.add.reduce(block_sums[alphas < 1.5]))""",
+        "(term2_cov, float(np.add.reduce(block_sums[:-1])), float(block_sums[-1]))",
+        "(term2_cov, float(np.add.reduce(block_sums[alphas > 1.5])),"
+        " float(np.add.reduce(block_sums[alphas < 1.5])))",
         ["tests/test_bounds.py::TestBlockSplit"],
     ),
     Mutant(
@@ -144,9 +143,16 @@ MUTANTS = [
     ),
     Mutant(
         "block_specs_cgnet_dimension_n_squared", "networks.py",
-        "(((n, n), n * (n + 1) // 2, self.p_max),)",
-        "(((n, n), n * n, self.p_max),)",
+        '(((n, n), n * (n + 1) // 2, self.p_max, "symmetric"),)',
+        '(((n, n), n * n, self.p_max, "symmetric"),)',
         ["tests/test_networks.py::TestNetworkConfig::test_block_specs"],
+    ),
+    Mutant(
+        "cov_spec_drcgnet_dimension_n", "networks.py",
+        'cov = ((n, n), 2 * n - 1, self.p_max, "tridiagonal")',
+        'cov = ((n, n), n, self.p_max, "tridiagonal")',
+        ["tests/test_networks.py::TestNetworkConfig::test_block_specs",
+         "tests/test_bounds.py::TestReferenceAssembly::test_geb_bound_and_sample_complexity"],
     ),
     Mutant(
         "theta_sum_numpy_reduction", "verify.py",
@@ -171,23 +177,29 @@ MUTANTS = [
     ),
     Mutant(
         "validate_lets_nan_norms_pass", "networks.py",
-        "~(_block_norms(theta.blocks) <= radii * (1 + BALL_TOL))",
-        "_block_norms(theta.blocks) > radii * (1 + BALL_TOL)",
+        "~(norms <= radii * (1 + BALL_TOL))",
+        "norms > radii * (1 + BALL_TOL)",
         ["tests/test_networks.py::TestSampling::test_validation_rejects_each_violation"],
     ),
     Mutant(
         "validate_covariance_structure_dropped", "networks.py",
-        '    if np.max(np.abs(off)) > BALL_TOL * theta.P.p_max:\n'
-        '        raise ValueError(f"covariance is not {config.cov_structure}")\n',
-        "",
+        "(config.cov_spec, *specs)",
+        "((*config.cov_spec[:3], None), *specs)",
         ["tests/test_networks.py::TestSampling::test_validation_rejects_an_unstructured_covariance",
          "tests/test_serialize_cli.py::TestParameterSerialization::test_rejects_an_unstructured_covariance"],
     ),
     Mutant(
         "validate_covariance_structure_without_slack", "networks.py",
-        "if np.max(np.abs(off)) > BALL_TOL * theta.P.p_max:",
-        "if np.max(np.abs(off)) > 0.0:",
+        "<= BALL_TOL * norm",
+        "<= 0.0 * norm",
         ["tests/test_networks.py::TestSampling::test_validation_rejects_an_unstructured_covariance"],
+    ),
+    Mutant(
+        "validate_block_structure_dropped", "networks.py",
+        "(config.cov_spec, *specs)",
+        "(config.cov_spec,)",
+        ["tests/test_networks.py::TestSampling::test_validation_rejects_an_asymmetric_b",
+         "tests/test_serialize_cli.py::TestParameterSerialization::test_rejects_an_asymmetric_b"],
     ),
     Mutant(
         "load_run_config_opens_any_non_dict", "serialize.py",
